@@ -4,17 +4,15 @@
 // matching). Not a paper figure; used to keep the simulator fast enough
 // for the trace sweeps.
 //
-// The schedule/dispatch benches compare the current allocation-free core
-// (InlineAction + EventCalendar) against a faithful copy of the seed core
-// (std::priority_queue<std::function>) on the same workloads, and the
-// results are written to BENCH_hotpath.json (override the path with
-// HAWKEYE_BENCH_JSON) so the perf trajectory is tracked across PRs.
+// The results are written to BENCH_hotpath.json (override the path with
+// HAWKEYE_BENCH_JSON) so the perf trajectory is tracked across PRs. The
+// committed file still holds the one-off comparison against the seed's
+// std::priority_queue<std::function> core (BM_ScheduleDispatchLegacyHeap);
+// that core is no longer built.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -31,65 +29,18 @@ using namespace hawkeye;
 
 namespace {
 
-/// Verbatim copy of the seed simulator core (PR 0): one global binary heap
-/// of type-erased std::function events. Kept here as the baseline the
-/// calendar+SBO core is measured against.
-class LegacyHeapSimulator {
- public:
-  using Action = std::function<void()>;
-
-  sim::Time now() const { return now_; }
-  void schedule(sim::Time delay, Action fn) {
-    schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
-  }
-  void schedule_at(sim::Time at, Action fn) {
-    if (at < now_) at = now_;
-    heap_.push(Event{at, next_seq_++, std::move(fn)});
-  }
-  bool step() {
-    if (heap_.empty()) return false;
-    Event& ev = const_cast<Event&>(heap_.top());
-    now_ = ev.at;
-    Action fn = std::move(ev.fn);
-    heap_.pop();
-    fn();
-    ++executed_;
-    return true;
-  }
-  void run() {
-    while (step()) {
-    }
-  }
-
- private:
-  struct Event {
-    sim::Time at;
-    std::uint64_t seq;
-    Action fn;
-    bool operator>(const Event& o) const {
-      return at != o.at ? at > o.at : seq > o.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
-  sim::Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
-};
-
-/// The schedule+dispatch workload both cores run: `n` self-rescheduling
-/// timers with the capture footprint of the real packet-arrival closure
-/// (four words — pointer, pointer, slot, port), hopping the delay mix the
-/// fabric actually schedules: 80–1103 ns serialization + propagation hops
-/// (MTU at 100 Gbps ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of
-/// events arming a 3 ms retransmit-timeout-like far delay. `timers` is the
-/// pending-event population — k=8 traces hold tens of thousands of
-/// in-flight packets, which is where the global heap's O(log n) sift
-/// thrashes the cache. Each timer fires `hops` times.
-template <typename Sim>
-std::uint64_t pump_events(Sim& simu, int timers, int hops) {
+/// The schedule+dispatch workload: `timers` self-rescheduling timers with
+/// the capture footprint of the real packet-arrival closure (four words —
+/// pointer, pointer, slot, port), hopping the delay mix the fabric actually
+/// schedules: 80–1103 ns serialization + propagation hops (MTU at 100 Gbps
+/// ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of events arming a 3 ms
+/// retransmit-timeout-like far delay. `timers` is the pending-event
+/// population — k=8 traces hold tens of thousands of in-flight packets.
+/// Each timer fires `hops` times.
+std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
   std::uint64_t fired = 0;
   struct Timer {
-    Sim* simu;
+    sim::Simulator* simu;
     std::uint64_t* fired;
     std::uint32_t state;
     std::int32_t left;
@@ -109,16 +60,6 @@ std::uint64_t pump_events(Sim& simu, int timers, int hops) {
   simu.run();
   return fired;
 }
-
-void BM_ScheduleDispatchLegacyHeap(benchmark::State& state) {
-  const int timers = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    LegacyHeapSimulator simu;
-    benchmark::DoNotOptimize(pump_events(simu, timers, 64));
-  }
-  state.SetItemsProcessed(state.iterations() * timers * 64);
-}
-BENCHMARK(BM_ScheduleDispatchLegacyHeap)->Arg(1000)->Arg(20000)->Arg(100000);
 
 void BM_ScheduleDispatchCalendar(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));

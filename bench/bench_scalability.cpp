@@ -16,11 +16,20 @@
 // `--k16` (or HAWKEYE_BENCH_K16=1) adds the headline k=16 cells: the
 // microburst-incast scenario at shards 1 vs 8 (576 switches, tens of
 // millions of events). Off by default — a k=16 run takes minutes.
+//
+// Memory columns per cell: the process's peak RSS so far (getrusage
+// high-water mark, so it never falls from one cell to the next), the event
+// calendars' retained capacity, and the telemetry flow tables' XOR
+// evictions and peak occupied slots, read from each run's testbed.
+#include <sys/resource.h>
+
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <thread>
 
 #include "bench_common.hpp"
+#include "eval/testbed.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
@@ -38,6 +47,10 @@ struct Cell {
   double recall = 0;
   double collected = 0;
   sim::Simulator::ShardStats st;  // summed over the cell's runs
+  double peak_rss_mb = 0;         // process high-water mark after the cell
+  double calendar_mb = 0;         // max over runs: retained calendar heap
+  std::uint64_t flow_evictions = 0;  // summed over runs and switches
+  std::size_t peak_flow_slots = 0;   // max over runs and switches
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
   /// What the run would cost with `shards` real cores: the worker drain and
@@ -70,7 +83,19 @@ Cell run_cell(int k, int shards, diagnosis::AnomalyType anomaly, int seeds) {
     // must measure exactly one run at a time or the per-shard timing is
     // meaningless.
     cfg.seed = 1 + static_cast<std::uint64_t>(i) * 2;
-    const eval::RunResult r = eval::run_one(cfg);
+    const eval::RunResult r = eval::run_one(cfg, [&c](eval::Testbed& tb) {
+      c.calendar_mb = std::max(
+          c.calendar_mb, static_cast<double>(tb.simu.retained_event_capacity() *
+                                             sizeof(sim::EventCalendar::Event)) /
+                             1e6);
+      for (const auto* tier : {&tb.ft.edges, &tb.ft.aggs, &tb.ft.cores}) {
+        for (const net::NodeId sw : *tier) {
+          const telemetry::TelemetryEngine& t = tb.switch_at(sw).telemetry();
+          c.flow_evictions += t.flow_evictions();
+          c.peak_flow_slots = std::max(c.peak_flow_slots, t.peak_flow_slots());
+        }
+      }
+    });
     st.add(r);
     c.st.parallel_rounds += r.shard_stats.parallel_rounds;
     c.st.sequential_windows += r.shard_stats.sequential_windows;
@@ -87,6 +112,9 @@ Cell run_cell(int k, int shards, diagnosis::AnomalyType anomaly, int seeds) {
   c.wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  c.peak_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
   c.events = st.sim_events;
   c.precision = st.pr.precision();
   c.recall = st.pr.recall();
@@ -101,10 +129,14 @@ std::string json_cell(const Cell& c, double wall_1shard) {
                 "{\"k\": %d, \"shards\": %d, \"anomaly\": \"%s\", "
                 "\"seeds\": %d, \"wall_s\": %.3f, \"events\": %.0f, "
                 "\"events_per_sec\": %.0f, \"precision\": %.3f, "
-                "\"recall\": %.3f",
+                "\"recall\": %.3f, \"peak_rss_mb\": %.1f, "
+                "\"calendar_mb\": %.2f, \"flow_evictions\": %llu, "
+                "\"peak_flow_slots\": %zu",
                 c.k, c.shards, std::string(to_string(c.anomaly)).c_str(),
                 c.seeds, c.wall_s, c.events, c.events_per_sec(), c.precision,
-                c.recall);
+                c.recall, c.peak_rss_mb, c.calendar_mb,
+                static_cast<unsigned long long>(c.flow_evictions),
+                c.peak_flow_slots);
   s += buf;
   if (c.shards > 1) {
     std::snprintf(
@@ -132,6 +164,16 @@ std::string json_cell(const Cell& c, double wall_1shard) {
   }
   s += "}";
   return s;
+}
+
+void print_row(const Cell& c) {
+  std::printf(
+      "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f %-9.0f "
+      "%-8.2f %-9llu %-9zu\n",
+      c.k, c.shards, std::string(to_string(c.anomaly)).c_str(), c.precision,
+      c.recall, c.collected, c.events / 1e6, c.wall_s,
+      c.events_per_sec() / 1e6, c.peak_rss_mb, c.calendar_mb,
+      static_cast<unsigned long long>(c.flow_evictions), c.peak_flow_slots);
 }
 
 std::vector<int> parse_list(const char* arg) {
@@ -170,9 +212,11 @@ int main(int argc, char** argv) {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::printf("host_cpus=%u (wall-clock speedup from sharding needs >1)\n\n",
               host_cpus);
-  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s\n", "k",
-              "shards", "anomaly", "precision", "recall", "collected",
-              "Mevents", "wall-s", "Mev/s");
+  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s %-9s %-8s "
+              "%-9s %-9s\n",
+              "k", "shards", "anomaly", "precision", "recall", "collected",
+              "Mevents", "wall-s", "Mev/s", "peakRSS", "cal-MB", "evicted",
+              "peakSlots");
 
   std::vector<Cell> cells;
   // wall_s of the shards=1 cell for each (k, anomaly), for speedup ratios.
@@ -188,11 +232,7 @@ int main(int argc, char** argv) {
                             diagnosis::AnomalyType::kInLoopDeadlock}) {
       for (const int s : shard_counts) {
         const Cell c = run_cell(k, s, type, n);
-        std::printf(
-            "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f\n",
-            c.k, c.shards, std::string(to_string(type)).c_str(), c.precision,
-            c.recall, c.collected, c.events / 1e6, c.wall_s,
-            c.events_per_sec() / 1e6);
+        print_row(c);
         cells.push_back(c);
       }
     }
@@ -203,13 +243,7 @@ int main(int argc, char** argv) {
     for (const int s : {1, 8}) {
       const Cell c = run_cell(16, s, diagnosis::AnomalyType::kMicroBurstIncast,
                               /*seeds=*/1);
-      std::printf(
-          "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f\n",
-          c.k, c.shards,
-          std::string(to_string(diagnosis::AnomalyType::kMicroBurstIncast))
-              .c_str(),
-          c.precision, c.recall, c.collected, c.events / 1e6, c.wall_s,
-          c.events_per_sec() / 1e6);
+      print_row(c);
       if (c.shards > 1) {
         const double w1 = base_wall(16, c.anomaly);
         std::printf("     drain=%.2fs merge=%.2fs flush=%.2fs seq=%.2fs "

@@ -4,7 +4,10 @@
 #   scripts/sanitize.sh [asan|tsan|all]
 #
 # asan: ASan+UBSan build, runs the simulator-core and device tests (the
-#       allocation-free event calendar and packet-slab paths).
+#       allocation-free event calendar with its recycled bucket vectors,
+#       and the packet-slab paths), the telemetry engine and report-merge
+#       tests (the sparse flow-table index), and the k=4 golden-trace suite
+#       (every layer end to end on the fixed cells).
 # tsan: TSan build, runs the parallel sweep-runner tests plus the
 #       fault-injection suite (link flaps / PFC frame loss exercise the
 #       injector from every sweep worker thread), the reconvergence /
@@ -26,11 +29,14 @@ cd "$(dirname "$0")/.."
 flavour="${1:-all}"
 
 run_asan() {
+  # UBSan only prints by default; make any report fail the pass.
+  export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
   cmake -B build-asan -S . -DHAWKEYE_SANITIZE=address \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
-  cmake --build build-asan -j "$(nproc)" --target hawkeye_tests
+  cmake --build build-asan -j "$(nproc)" \
+        --target hawkeye_tests hawkeye_golden_test
   (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|TelemetryEngineTest|MergeReportTest|GoldenTrace')
 }
 
 run_tsan() {

@@ -220,7 +220,8 @@ workload::ScenarioSpec craft_scenario(const RunConfig& cfg, sim::Rng& rng) {
   return spec;
 }
 
-RunResult run_one(const RunConfig& cfg) {
+RunResult run_one(const RunConfig& cfg,
+                  const std::function<void(Testbed&)>& after_sim) {
   RunResult out;
 
   // ---- Craft the scenario on a default-routed fabric ----
@@ -299,6 +300,7 @@ RunResult run_one(const RunConfig& cfg) {
   sim::Time margin = 2 * opts.collector_cfg.snapshot_delay;
   if (faulty || scenario_fleet) margin += sim::ms(4);
   tb.run_for(spec.duration + margin);
+  if (after_sim) after_sim(tb);
   out.scenario_name = spec.name;
   out.truth_type = spec.truth.type;
   out.sim_events = tb.simu.executed_events();

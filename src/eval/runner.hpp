@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "collect/episode.hpp"
@@ -148,8 +149,14 @@ struct RunResult {
   diagnosis::FleetEvidence fleet_evidence;
 };
 
+class Testbed;
+
 /// Simulate one crafted trace end-to-end and score the diagnosis.
-RunResult run_one(const RunConfig& cfg);
+/// `after_sim`, if set, sees the testbed the moment its simulation ends:
+/// the benches read simulator-internal observables (calendar capacity,
+/// flow-table occupancy) there instead of growing RunResult.
+RunResult run_one(const RunConfig& cfg,
+                  const std::function<void(Testbed&)>& after_sim = {});
 
 /// The crafting half of run_one, exposed as a mutation/shrinking hook for
 /// the misdiagnosis hunter: dispatch the scenario factory for cfg.scenario,

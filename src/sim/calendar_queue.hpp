@@ -31,7 +31,10 @@ namespace hawkeye::sim {
 ///  - `wheel_`     — kBucketCount vectors of unordered events covering the
 ///    next kBucketCount * kBucketWidthNs nanoseconds after `base_bucket_`.
 ///    A 1-bit-per-bucket occupancy bitmap makes skipping empty buckets a
-///    countr_zero scan instead of a pointer chase.
+///    countr_zero scan instead of a pointer chase. An empty wheel slot holds
+///    no capacity: a drained bucket's vector goes to the `spare_` stack and
+///    the next push into an empty slot takes it back, so retained capacity
+///    tracks the peak number of occupied buckets, not kBucketCount.
 ///  - `far_`       — unordered overflow for events beyond the wheel horizon
 ///    (retransmit timeouts, far-future flow starts). Migrated into the
 ///    wheel when the drain frontier approaches them.
@@ -77,9 +80,7 @@ class EventCalendar {
       cur_slots_.push_back(Event{at, seq, std::move(fn)});
       std::push_heap(late_keys_.begin(), late_keys_.end(), key_later);
     } else if (b < base_bucket_ + kBucketCount) {
-      wheel_[static_cast<std::size_t>(b & kBucketMask)].push_back(
-          Event{at, seq, std::move(fn)});
-      mark_occupied(b);
+      wheel_slot(b).push_back(Event{at, seq, std::move(fn)});
       ++wheel_count_;
     } else {
       if (far_.empty() || b < far_min_bucket_) far_min_bucket_ = b;
@@ -140,6 +141,16 @@ class EventCalendar {
     return ev;
   }
 
+  /// Event capacity held by the calendar (wheel slots, spare stack, drain
+  /// arena and far tier): its memory footprint is this times sizeof(Event).
+  /// O(kBucketCount) — an observable for the benches, not for the hot path.
+  std::size_t retained_capacity() const {
+    std::size_t cap = cur_slots_.capacity() + far_.capacity();
+    for (const auto& v : wheel_) cap += v.capacity();
+    for (const auto& v : spare_) cap += v.capacity();
+    return cap;
+  }
+
  private:
   /// Drain-tier entry: the (time, seq) sort key plus the event's arena
   /// index. Trivially copyable by design — ordering shuffles these 24-byte
@@ -182,6 +193,26 @@ class EventCalendar {
     occupied_[m >> 6] &= ~(std::uint64_t{1} << (m & 63));
   }
 
+  /// Wheel slot of absolute bucket `b`, marked occupied and ready for a
+  /// push_back: an empty slot holds no capacity, so it takes a spare vector.
+  std::vector<Event>& wheel_slot(std::int64_t b) {
+    auto& vec = wheel_[static_cast<std::size_t>(b & kBucketMask)];
+    if (vec.capacity() == 0 && !spare_.empty()) {
+      vec.swap(spare_.back());
+      spare_.pop_back();
+    }
+    mark_occupied(b);
+    return vec;
+  }
+
+  /// Park the (empty) vector of a drained wheel slot on the spare stack,
+  /// leaving the slot without capacity.
+  void recycle(std::vector<Event>& vec) {
+    if (vec.capacity() == 0) return;
+    spare_.emplace_back();
+    spare_.back().swap(vec);
+  }
+
   /// Append an event to the drain arena with its key (unsorted —
   /// prepare_head() sorts the batch once after a frontier advance).
   void stage(Event&& ev) {
@@ -216,8 +247,8 @@ class EventCalendar {
   /// Move the events of absolute bucket `b` into the drain tier; events of
   /// the same masked slot but a later wheel revolution stay behind. In the
   /// overwhelmingly common single-revolution case the bucket vector is
-  /// *swapped in* as the drain arena — zero per-event moves; vector
-  /// capacities recycle between the wheel slot and the arena.
+  /// *swapped in* as the drain arena — zero per-event moves — and the
+  /// arena's old vector goes to the spare stack, not back into the slot.
   void take_bucket(std::int64_t b) {
     auto& vec = wheel_[static_cast<std::size_t>(b & kBucketMask)];
     bool stale = false;
@@ -235,6 +266,7 @@ class EventCalendar {
         for (Event& ev : vec) cur_slots_.push_back(std::move(ev));
         vec.clear();
       }
+      recycle(vec);
       drain_keys_.reserve(cur_slots_.size());
       for (std::uint32_t i = 0; i < cur_slots_.size(); ++i) {
         drain_keys_.push_back(Key{cur_slots_[i].at, cur_slots_[i].seq, i});
@@ -252,7 +284,10 @@ class EventCalendar {
       }
     }
     vec.resize(kept);
-    if (vec.empty()) clear_occupied(b);
+    if (vec.empty()) {
+      clear_occupied(b);
+      recycle(vec);
+    }
   }
 
   /// Pull far-future events that now fall inside the wheel horizon (or the
@@ -265,9 +300,7 @@ class EventCalendar {
       if (b <= base_bucket_) {
         stage(std::move(ev));
       } else if (b < base_bucket_ + kBucketCount) {
-        wheel_[static_cast<std::size_t>(b & kBucketMask)].push_back(
-            std::move(ev));
-        mark_occupied(b);
+        wheel_slot(b).push_back(std::move(ev));
         ++wheel_count_;
       } else {
         if (new_min < 0 || b < new_min) new_min = b;
@@ -279,6 +312,7 @@ class EventCalendar {
   }
 
   std::vector<std::vector<Event>> wheel_;
+  std::vector<std::vector<Event>> spare_;  // drained buckets' vectors
   std::array<std::uint64_t, static_cast<std::size_t>(kBucketCount / 64)>
       occupied_{};
   std::vector<Key> drain_keys_;  // sorted batch of the active bucket's keys

@@ -8,8 +8,6 @@
 
 namespace hawkeye::sim {
 
-thread_local Simulator::ExecCtx* Simulator::tls_ctx_ = nullptr;
-
 /// Persistent worker pool for parallel rounds. Workers block on a round
 /// generation counter; the main thread publishes a horizon, wakes them, and
 /// waits for the drain count to hit zero. The mutex acquire/release pairs
@@ -139,6 +137,12 @@ std::size_t Simulator::pending() const {
   if (!sharded()) return calendar_.size();
   std::size_t total = 0;
   for (const auto& sh : shards_) total += sh->cal.size();
+  return total;
+}
+
+std::size_t Simulator::retained_event_capacity() const {
+  std::size_t total = calendar_.retained_capacity();
+  for (const auto& sh : shards_) total += sh->cal.retained_capacity();
   return total;
 }
 

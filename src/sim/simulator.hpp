@@ -163,6 +163,9 @@ class Simulator {
   bool empty() const { return pending() == 0; }
   std::size_t pending() const;
   std::uint64_t executed_events() const;
+  /// Event capacity held by every calendar (EventCalendar::retained_capacity
+  /// summed); times sizeof(EventCalendar::Event) is the calendars' heap.
+  std::size_t retained_event_capacity() const;
 
   /// Sharded-mode execution profile: where wall-clock went (parallel worker
   /// drains vs the serial barrier vs sequential windows) and how much work
@@ -252,7 +255,11 @@ class Simulator {
   bool step_sharded();
   void ensure_pool();
 
-  static thread_local ExecCtx* tls_ctx_;
+  /// Inline with its constant initializer so every translation unit reads
+  /// it directly. With an out-of-line definition, other units (devices call
+  /// now() per packet) go through a TLS wrapper that probes for a dynamic
+  /// initializer on each access, which UBSan reports as a null-pointer load.
+  static inline thread_local ExecCtx* tls_ctx_ = nullptr;
 
   // Single-shard (seed) state.
   EventCalendar calendar_;

@@ -20,7 +20,8 @@ TelemetryEngine::TelemetryEngine(net::NodeId sw, std::int32_t port_count,
     : sw_(sw), port_count_(port_count), cfg_(cfg) {
   ring_.resize(static_cast<size_t>(cfg_.epoch.epoch_count()));
   for (auto& e : ring_) {
-    e.flows.resize(cfg_.mode == TelemetryMode::kPortOnly ? 0 : cfg_.flow_slots);
+    e.slot_pos.assign(
+        cfg_.mode == TelemetryMode::kPortOnly ? 0 : cfg_.flow_slots, 0);
     e.ports.resize(static_cast<size_t>(port_count_));
     e.meter.assign(static_cast<size_t>(port_count_) *
                        static_cast<size_t>(port_count_),
@@ -35,7 +36,8 @@ void TelemetryEngine::reset_epoch(Epoch& e, std::uint64_t id,
   e.id = id;
   e.start = start;
   e.live = true;
-  for (auto& s : e.flows) s = FlowSlot{};
+  for (const FlowSlot& s : e.flows) e.slot_pos[s.slot] = 0;
+  e.flows.clear();
   for (auto& p : e.ports) {
     const auto port = p.port;
     p = PortRecord{};
@@ -88,29 +90,30 @@ void TelemetryEngine::on_enqueue(const net::Packet& pkt, net::PortId in_port,
     }
   }
 
-  if (cfg_.mode != TelemetryMode::kPortOnly && !e.flows.empty()) {
+  if (cfg_.mode != TelemetryMode::kPortOnly && !e.slot_pos.empty()) {
     // Flow table: hash-indexed slot, XOR 5-tuple match, evict on mismatch.
-    const std::size_t slot_idx =
-        static_cast<std::size_t>(pkt.flow.hash() % cfg_.flow_slots);
-    FlowSlot& slot = e.flows[slot_idx];
-    if (slot.occupied && !(slot.flow == pkt.flow)) {
+    const auto slot_idx =
+        static_cast<std::uint32_t>(pkt.flow.hash() % cfg_.flow_slots);
+    std::uint32_t& pos = e.slot_pos[slot_idx];
+    if (pos == 0) {
+      e.flows.push_back(FlowSlot{pkt.flow, slot_idx, 0, 0, out_port, 0});
+      pos = static_cast<std::uint32_t>(e.flows.size());
+      peak_flow_slots_ = std::max(peak_flow_slots_, e.flows.size());
+    } else if (FlowSlot& old = e.flows[pos - 1]; !(old.flow == pkt.flow)) {
+      ++flow_evictions_;
       if (evict_sink_) {
         FlowRecord rec;
-        rec.flow = slot.flow;
-        rec.pkt_cnt = slot.pkt_cnt;
-        rec.paused_cnt = slot.paused_cnt;
-        rec.qdepth_pkts_sum = slot.qdepth_pkts_sum;
-        rec.egress_port = slot.egress_port;
+        rec.flow = old.flow;
+        rec.pkt_cnt = old.pkt_cnt;
+        rec.paused_cnt = old.paused_cnt;
+        rec.qdepth_pkts_sum = old.qdepth_pkts_sum;
+        rec.egress_port = old.egress_port;
         rec.epoch_start = e.start;
         evict_sink_(rec);
       }
-      slot = FlowSlot{};
+      old = FlowSlot{pkt.flow, slot_idx, 0, 0, out_port, 0};
     }
-    if (!slot.occupied) {
-      slot.occupied = true;
-      slot.flow = pkt.flow;
-      slot.egress_port = out_port;
-    }
+    FlowSlot& slot = e.flows[pos - 1];
     slot.pkt_cnt += 1;
     if (port_paused) {
       slot.paused_cnt += 1;
@@ -178,11 +181,13 @@ std::uint64_t TelemetryEngine::recent_flow_paused_count(
   (void)now;
   if (cfg_.mode == TelemetryMode::kPortOnly || cfg_.flow_slots == 0) return 0;
   std::uint64_t total = 0;
+  const auto slot_idx = static_cast<size_t>(flow.hash() % cfg_.flow_slots);
   for (const Epoch& e : ring_) {
     if (!e.live) continue;
-    const FlowSlot& slot =
-        e.flows[static_cast<size_t>(flow.hash() % cfg_.flow_slots)];
-    if (slot.occupied && slot.flow == flow) total += slot.paused_cnt;
+    const std::uint32_t pos = e.slot_pos[slot_idx];
+    if (pos != 0 && e.flows[pos - 1].flow == flow) {
+      total += e.flows[pos - 1].paused_cnt;
+    }
   }
   return total;
 }
@@ -216,8 +221,10 @@ SwitchTelemetryReport TelemetryEngine::snapshot(
     EpochRecord er;
     er.epoch_id = e.id;
     er.start = e.start;
-    for (const FlowSlot& s : e.flows) {
-      if (!s.occupied || s.pkt_cnt == 0) continue;
+    // Walk the index, not `flows`, so records come out in slot order.
+    for (const std::uint32_t pos : e.slot_pos) {
+      if (pos == 0) continue;
+      const FlowSlot& s = e.flows[pos - 1];
       FlowRecord rec;
       rec.flow = s.flow;
       rec.pkt_cnt = s.pkt_cnt;

@@ -109,21 +109,33 @@ class TelemetryEngine {
   /// packet generation" comparison of Fig 14.
   std::int64_t raw_dump_bytes() const;
 
+  /// Flow slots displaced by XOR-mismatch evictions since construction
+  /// (counted whether or not an evict sink is set).
+  std::uint64_t flow_evictions() const { return flow_evictions_; }
+  /// Most flow slots ever occupied at once in one epoch (<= flow_slots).
+  std::size_t peak_flow_slots() const { return peak_flow_slots_; }
+
  private:
+  /// One occupied flow-table slot; `slot` is its `hash % flow_slots` index.
   struct FlowSlot {
     net::FiveTuple flow;
+    std::uint32_t slot = 0;
     std::uint32_t pkt_cnt = 0;
     std::uint32_t paused_cnt = 0;
-    std::uint64_t qdepth_pkts_sum = 0;
     net::PortId egress_port = net::kInvalidPort;
-    bool occupied = false;
+    std::uint64_t qdepth_pkts_sum = 0;
   };
 
+  /// One epoch of registers. The flow table has the dense table's
+  /// semantics (`hash % flow_slots`, XOR match, evict on mismatch) but
+  /// stores only occupied slots: `slot_pos[slot]` is 1 + the slot's index
+  /// in `flows`, 0 when empty. A wrap clears just the occupied entries.
   struct Epoch {
     std::uint64_t id = ~0ull;
     sim::Time start = 0;
     bool live = false;
-    std::vector<FlowSlot> flows;
+    std::vector<std::uint32_t> slot_pos;  // flow_slots wide; empty: no table
+    std::vector<FlowSlot> flows;          // occupied slots, first-touch order
     std::vector<PortRecord> ports;
     std::vector<std::uint64_t> meter;  // [in * port_count + out] bytes
   };
@@ -139,6 +151,8 @@ class TelemetryEngine {
   std::vector<sim::Time> pause_until_;  // PFC status register per port
   std::vector<std::uint64_t> pfc_frames_seen_;
   EvictSink evict_sink_;
+  std::uint64_t flow_evictions_ = 0;
+  std::size_t peak_flow_slots_ = 0;
 };
 
 }  // namespace hawkeye::telemetry

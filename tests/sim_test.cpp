@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -312,6 +314,67 @@ TEST(CalendarTest, DeterministicAcrossIdenticalRuns) {
   EXPECT_EQ(a.first, b.first);
   EXPECT_EQ(a.second, b.second);
   EXPECT_EQ(a.second, 32u * 40u);
+}
+
+TEST(CalendarTest, RetainedCapacityBoundedByOccupiedBuckets) {
+  // A 6 ms bursty schedule (background pairs plus 24-event bursts, up to
+  // 20 us ahead) sweeps every wheel slot about six times. Pops must come
+  // out in exact (time, seq) order, and drained buckets must hand their
+  // vectors back: every vector holding capacity is an occupied bucket, a
+  // spare, or the drain arena, and there are never more of those than the
+  // peak number of occupied buckets plus one. Without recycling each of the
+  // 16384 slots keeps its high-water capacity.
+  EventCalendar cal;
+  std::set<std::pair<Time, std::uint64_t>> pending;  // reference order
+  std::map<std::int64_t, std::size_t> live;    // bucket -> pending events
+  std::map<std::int64_t, std::size_t> pushed;  // bucket -> events ever
+  std::size_t peak_occupied = 0;
+  std::size_t max_bucket = 0;
+  std::uint64_t seq = 0;
+  std::uint32_t state = 2024;
+  const auto draw = [&state](std::uint32_t mod) {
+    state = state * 1664525u + 1013904223u;
+    return static_cast<Time>((state >> 8) % mod);
+  };
+  const auto push = [&](Time at) {
+    cal.push(at, seq, [] {});
+    pending.emplace(at, seq++);
+    const std::int64_t b = at >> EventCalendar::kBucketWidthShift;
+    ++live[b];
+    max_bucket = std::max(max_bucket, ++pushed[b]);
+    peak_occupied = std::max(peak_occupied, live.size());
+  };
+  const auto pop = [&] {
+    ASSERT_TRUE(cal.prepare_head());
+    const EventCalendar::Event ev = cal.pop_head();
+    ASSERT_EQ((std::pair{ev.at, ev.seq}), *pending.begin());
+    pending.erase(pending.begin());
+    const std::int64_t b = ev.at >> EventCalendar::kBucketWidthShift;
+    if (--live[b] == 0) live.erase(b);
+  };
+  for (Time tick = 0; tick < ms(6); tick += 400) {
+    // Drain what is due first: every push below then lands strictly after
+    // the drain frontier, so each bucket's arena holds only its own events.
+    while (!pending.empty() && pending.begin()->first < tick) pop();
+    if (draw(8) == 0) {
+      const Time base = tick + 128 + draw(20'000);
+      for (int i = 0; i < 24; ++i) push(base + draw(64));
+    } else {
+      for (int i = 0; i < 2; ++i) push(tick + 128 + draw(20'000));
+    }
+  }
+  while (!pending.empty()) pop();
+  EXPECT_FALSE(cal.prepare_head());
+  EXPECT_TRUE(cal.empty());
+  // The schedule really did lap the wheel several times.
+  EXPECT_GT(pushed.rbegin()->first, 4 * EventCalendar::kBucketCount);
+  // One vector per occupied bucket plus the arena, each grown to at most
+  // twice the largest bucket.
+  const std::size_t bound = (peak_occupied + 1) * 2 * max_bucket;
+  EXPECT_LE(cal.retained_capacity(), bound)
+      << "peak occupied buckets " << peak_occupied << ", largest bucket "
+      << max_bucket;
+  EXPECT_LT(bound, static_cast<std::size_t>(EventCalendar::kBucketCount));
 }
 
 TEST(TimeTest, SerializationMath) {

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "net/packet.hpp"
+#include "sim/random.hpp"
 #include "telemetry/engine.hpp"
 #include "telemetry/resource_model.hpp"
+#include "telemetry/wire.hpp"
 
 namespace hawkeye::telemetry {
 namespace {
@@ -204,6 +210,276 @@ TEST(TelemetryEngineTest, ZeroSlotsFilteredFromSnapshot) {
   EXPECT_GT(eng.raw_dump_bytes(), 10 * serialized_bytes(rep));
 }
 
+// ---------- Sparse flow tables vs a dense reference model ----------
+
+/// Dense reference model of TelemetryEngine's registers: every epoch holds
+/// all `flow_slots` flow slots with an occupied flag and is cleared in full
+/// when the ring wraps — the plain reading of the paper's Tofino tables
+/// (§3.3). The engine stores its flow tables sparsely; the property test
+/// below checks that no observable tells the two apart.
+class DenseEngineModel {
+ public:
+  DenseEngineModel(net::NodeId sw, std::int32_t ports, TelemetryConfig cfg)
+      : sw_(sw), ports_(ports), cfg_(cfg),
+        ring_(static_cast<std::size_t>(cfg.epoch.epoch_count())) {}
+
+  std::vector<FlowRecord> evicted;
+  std::size_t peak_flow_slots = 0;  // most slots occupied in one epoch
+
+  void on_enqueue(const net::Packet& pkt, net::PortId in, net::PortId out,
+                  std::int64_t qlen, bool paused, sim::Time now) {
+    if (cfg_.mode == TelemetryMode::kOff) return;
+    Epoch& e = locate(now);
+    if (cfg_.mode != TelemetryMode::kFlowOnly) {
+      PortRecord& pr = e.ports[static_cast<std::size_t>(out)];
+      pr.pkt_cnt += 1;
+      pr.qdepth_pkts_sum += static_cast<std::uint64_t>(qlen);
+      if (paused) pr.paused_cnt += 1;
+      if (in >= 0) {
+        auto& m = e.meter[static_cast<std::size_t>(in * ports_ + out)];
+        m = cfg_.one_bit_meter ? 1 : m + static_cast<std::uint64_t>(
+                                             pkt.size_bytes);
+      }
+    }
+    if (cfg_.mode == TelemetryMode::kPortOnly) return;
+    Slot& s = e.flows[pkt.flow.hash() % cfg_.flow_slots];
+    if (s.occupied && !(s.rec.flow == pkt.flow)) {
+      FlowRecord rec = s.rec;
+      rec.epoch_start = e.start;
+      evicted.push_back(rec);
+      s = Slot{};
+    }
+    if (!s.occupied) {
+      s.occupied = true;
+      s.rec.flow = pkt.flow;
+      s.rec.egress_port = out;
+      peak_flow_slots = std::max(
+          peak_flow_slots,
+          static_cast<std::size_t>(std::count_if(
+              e.flows.begin(), e.flows.end(),
+              [](const Slot& x) { return x.occupied; })));
+    }
+    s.rec.pkt_cnt += 1;
+    if (paused) {
+      s.rec.paused_cnt += 1;
+    } else {
+      s.rec.qdepth_pkts_sum += static_cast<std::uint64_t>(qlen);
+    }
+  }
+
+  void on_transmit(const net::Packet& pkt, net::PortId out, sim::Time now) {
+    if (cfg_.mode == TelemetryMode::kOff ||
+        cfg_.mode == TelemetryMode::kFlowOnly) {
+      return;
+    }
+    locate(now).ports[static_cast<std::size_t>(out)].tx_bytes +=
+        static_cast<std::uint64_t>(pkt.size_bytes);
+  }
+
+  std::uint64_t recent_paused_count(net::PortId port) const {
+    if (cfg_.mode == TelemetryMode::kFlowOnly) return 0;
+    std::uint64_t total = 0;
+    for (const Epoch& e : ring_) {
+      if (e.live) total += e.ports[static_cast<std::size_t>(port)].paused_cnt;
+    }
+    return total;
+  }
+
+  std::uint64_t recent_flow_paused_count(const net::FiveTuple& flow) const {
+    if (cfg_.mode == TelemetryMode::kPortOnly) return 0;
+    std::uint64_t total = 0;
+    for (const Epoch& e : ring_) {
+      if (!e.live) continue;
+      const Slot& s = e.flows[flow.hash() % cfg_.flow_slots];
+      if (s.occupied && s.rec.flow == flow) total += s.rec.paused_cnt;
+    }
+    return total;
+  }
+
+  SwitchTelemetryReport snapshot(sim::Time now) const {
+    SwitchTelemetryReport rep;
+    rep.sw = sw_;
+    rep.collected_at = now;
+    for (const Epoch& e : ring_) {
+      if (!e.live) continue;
+      EpochRecord er;
+      er.epoch_id = e.id;
+      er.start = e.start;
+      for (const Slot& s : e.flows) {
+        if (s.occupied) er.flows.push_back(s.rec);
+      }
+      for (const PortRecord& p : e.ports) {
+        if (!p.zero()) er.ports.push_back(p);
+      }
+      for (net::PortId i = 0; i < ports_; ++i) {
+        for (net::PortId o = 0; o < ports_; ++o) {
+          const std::uint64_t b =
+              e.meter[static_cast<std::size_t>(i * ports_ + o)];
+          if (b > 0) er.meters.push_back({i, o, b});
+        }
+      }
+      rep.epochs.push_back(er);
+    }
+    std::sort(rep.epochs.begin(), rep.epochs.end(),
+              [](const EpochRecord& a, const EpochRecord& b) {
+                return a.start < b.start;
+              });
+    return rep;
+  }
+
+ private:
+  struct Slot {
+    FlowRecord rec;
+    bool occupied = false;
+  };
+  struct Epoch {
+    std::uint64_t id = ~0ull;
+    sim::Time start = 0;
+    bool live = false;
+    std::vector<Slot> flows;
+    std::vector<PortRecord> ports;
+    std::vector<std::uint64_t> meter;
+  };
+
+  Epoch& locate(sim::Time ts) {
+    Epoch& e = ring_[static_cast<std::size_t>(cfg_.epoch.index_of(ts))];
+    const std::uint64_t id = cfg_.epoch.id_of(ts);
+    if (!e.live || e.id != id) {
+      e = Epoch{};
+      e.id = id;
+      e.start = cfg_.epoch.epoch_start(ts);
+      e.live = true;
+      e.flows.assign(cfg_.flow_slots, Slot{});
+      e.ports.assign(static_cast<std::size_t>(ports_), PortRecord{});
+      for (net::PortId p = 0; p < ports_; ++p) {
+        e.ports[static_cast<std::size_t>(p)].port = p;
+      }
+      e.meter.assign(static_cast<std::size_t>(ports_ * ports_), 0);
+    }
+    return e;
+  }
+
+  net::NodeId sw_;
+  std::int32_t ports_;
+  TelemetryConfig cfg_;
+  std::vector<Epoch> ring_;
+};
+
+/// Every field of a report as text, so a mismatch names the field.
+std::string dump(const SwitchTelemetryReport& r) {
+  const auto flow = [](const FlowRecord& f) {
+    return std::to_string(f.flow.src_ip) + "/" + std::to_string(f.flow.dst_ip) +
+           "/" + std::to_string(f.flow.src_port) + "/" +
+           std::to_string(f.flow.dst_port) + "/" +
+           std::to_string(f.flow.protocol) + " pkt=" +
+           std::to_string(f.pkt_cnt) + " paused=" +
+           std::to_string(f.paused_cnt) + " q=" +
+           std::to_string(f.qdepth_pkts_sum) + " eg=" +
+           std::to_string(f.egress_port) + " es=" +
+           std::to_string(f.epoch_start) + "\n";
+  };
+  std::string s = "sw=" + std::to_string(r.sw) + " at=" +
+                  std::to_string(r.collected_at) + "\n";
+  for (const EpochRecord& e : r.epochs) {
+    s += "epoch id=" + std::to_string(e.epoch_id) + " start=" +
+         std::to_string(e.start) + "\n";
+    for (const FlowRecord& f : e.flows) s += " flow " + flow(f);
+    for (const PortRecord& p : e.ports) {
+      s += " port " + std::to_string(p.port) + " pkt=" +
+           std::to_string(p.pkt_cnt) + " paused=" +
+           std::to_string(p.paused_cnt) + " q=" +
+           std::to_string(p.qdepth_pkts_sum) + " tx=" +
+           std::to_string(p.tx_bytes) + "\n";
+    }
+    for (const MeterRecord& m : e.meters) {
+      s += " meter " + std::to_string(m.in_port) + "->" +
+           std::to_string(m.out_port) + " b=" + std::to_string(m.bytes) + "\n";
+    }
+  }
+  for (const PortStatusRecord& p : r.port_status) {
+    s += "status " + std::to_string(p.port) + "\n";
+  }
+  for (const FlowRecord& f : r.evicted) s += "evicted " + flow(f);
+  return s;
+}
+
+TEST(TelemetryEngineTest, SparseFlowTablesMatchDenseReferenceModel) {
+  // 40 random flows over 16 slots force XOR evictions; time runs over eight
+  // ring wraps, with gaps that leave some epochs stale and others
+  // overwritten on wrap. In every mode, snapshots, the evicted-record
+  // stream and both line-rate paused counters must match the dense model.
+  for (const TelemetryMode mode :
+       {TelemetryMode::kFull, TelemetryMode::kPortOnly,
+        TelemetryMode::kFlowOnly, TelemetryMode::kOff}) {
+    for (const bool one_bit : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode)
+                                      << " one_bit " << one_bit);
+      TelemetryConfig cfg = small_cfg();  // 4 epochs x 1024 ns
+      cfg.flow_slots = 16;
+      cfg.mode = mode;
+      cfg.one_bit_meter = one_bit;
+      constexpr std::int32_t kPorts = 4;
+      TelemetryEngine eng(7, kPorts, cfg);
+      DenseEngineModel model(7, kPorts, cfg);
+      std::vector<FlowRecord> evicted;
+      eng.set_evict_sink([&](const FlowRecord& r) { evicted.push_back(r); });
+
+      sim::Rng rng(17 + static_cast<std::uint64_t>(mode) * 2 + one_bit);
+      std::vector<net::Packet> flows;
+      for (std::uint32_t i = 0; i < 40; ++i) {
+        flows.push_back(data_pkt(
+            1 + i % 7, 20 + i % 5, static_cast<std::uint16_t>(100 + i),
+            static_cast<std::int32_t>(rng.uniform_int(64, 1500))));
+      }
+      const sim::Time wrap = cfg.epoch.epoch_ns() * cfg.epoch.epoch_count();
+      sim::Time now = 0;
+      int checks = 0;
+      while (now < 8 * wrap) {
+        // Mostly packet-scale steps; now and then jump past whole epochs.
+        now += rng.chance(0.02) ? rng.uniform_int(1000, 3000)
+                                : rng.uniform_int(0, 40);
+        const net::Packet& pkt =
+            flows[static_cast<std::size_t>(rng.uniform_int(0, 39))];
+        const auto in = static_cast<net::PortId>(rng.uniform_int(-1, 3));
+        const auto out = static_cast<net::PortId>(rng.uniform_int(0, 3));
+        const std::int64_t qlen = rng.uniform_int(0, 50);
+        const bool paused = rng.chance(0.3);
+        eng.on_enqueue(pkt, in, out, qlen, paused, now);
+        model.on_enqueue(pkt, in, out, qlen, paused, now);
+        if (rng.chance(0.5)) {
+          eng.on_transmit(pkt, out, now);
+          model.on_transmit(pkt, out, now);
+        }
+        if (rng.chance(0.1)) {
+          ++checks;
+          ASSERT_EQ(dump(eng.snapshot(now)), dump(model.snapshot(now)))
+              << "at t=" << now;
+          ASSERT_EQ(wire::encode(eng.snapshot(now)),
+                    wire::encode(model.snapshot(now)));
+          for (net::PortId p = 0; p < kPorts; ++p) {
+            ASSERT_EQ(eng.recent_paused_count(p, now),
+                      model.recent_paused_count(p));
+          }
+          for (const net::Packet& f : flows) {
+            ASSERT_EQ(eng.recent_flow_paused_count(f.flow, now),
+                      model.recent_flow_paused_count(f.flow));
+          }
+        }
+      }
+      EXPECT_GT(checks, 30);
+      SwitchTelemetryReport got, want;
+      got.evicted = evicted;
+      want.evicted = model.evicted;
+      EXPECT_EQ(dump(got), dump(want));
+      EXPECT_EQ(eng.flow_evictions(), model.evicted.size());
+      EXPECT_EQ(eng.peak_flow_slots(), model.peak_flow_slots);
+      const bool flow_tables = mode == TelemetryMode::kFull ||
+                               mode == TelemetryMode::kFlowOnly;
+      EXPECT_EQ(model.evicted.size() > 100, flow_tables);
+    }
+  }
+}
+
 // ---------- Resource model (Fig 13) ----------
 
 TEST(ResourceModelTest, FlowTelemetryScalesWithFlowsAndEpochs) {
@@ -236,8 +512,6 @@ TEST(ResourceModelTest, FitsOnTofino) {
 
 }  // namespace
 }  // namespace hawkeye::telemetry
-
-#include "telemetry/wire.hpp"
 
 namespace hawkeye::telemetry {
 namespace {
