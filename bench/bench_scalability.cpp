@@ -6,12 +6,15 @@
 // the anomaly's causal footprint, not the fabric size — while diagnosis
 // quality holds.
 //
-// Shard axis (PR 6): each (k, anomaly) point reruns under the sharded
-// simulator (`--shards 1,2,4,8`), reporting wall-clock AND events/sec per
-// cell plus the simulator's phase decomposition (parallel drain vs serial
-// merge vs sequential windows), so shard-scaling efficiency is visible in
-// the JSON trajectory. Results append under a "scalability" key in
-// BENCH_hotpath.json (HAWKEYE_BENCH_JSON overrides the path).
+// Shard axis: each (k, anomaly) point reruns under the sharded simulator
+// (`--shards 1,2,4,8`), reporting wall-clock AND events/sec per cell plus
+// the simulator's phase decomposition (parallel drain vs serial merge vs
+// sequential windows) and the measured dispatch gap (drain time not spent
+// by the slowest shard: waking and collecting the pool), so shard-scaling
+// efficiency is visible in the JSON trajectory. Every number is measured
+// on the host that runs the bench; nothing is extrapolated to other core
+// counts. Results append under a "scalability" key in BENCH_hotpath.json
+// (HAWKEYE_BENCH_JSON overrides the path).
 //
 // `--k16` (or HAWKEYE_BENCH_K16=1) adds the headline k=16 cells: the
 // microburst-incast scenario at shards 1 vs 8 (576 switches, tens of
@@ -53,15 +56,10 @@ struct Cell {
   std::size_t peak_flow_slots = 0;   // max over runs and switches
 
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0; }
-  /// What the run would cost with `shards` real cores: the worker drain and
-  /// mailbox flush divide across shards, everything else (rank merge,
-  /// sequential windows, setup/analysis) stays as measured. Meaningful only
-  /// when measured on a single core, where drain_seconds is the full serial
-  /// drain cost time-sliced across the workers.
-  double projected_wall_s() const {
-    if (shards <= 1) return wall_s;
-    const double parallel = st.drain_seconds + st.flush_seconds;
-    return wall_s - parallel * (1.0 - 1.0 / shards);
+  /// Parallel-round time not spent by the slowest shard: waking the pool
+  /// and collecting it (ShardStats drain minus round max).
+  double dispatch_gap_s() const {
+    return st.drain_seconds - st.round_max_seconds;
   }
 };
 
@@ -141,24 +139,21 @@ std::string json_cell(const Cell& c, double wall_1shard) {
   if (c.shards > 1) {
     std::snprintf(
         buf, sizeof(buf),
-        ", \"drain_s\": %.3f, \"round_max_s\": %.3f, \"merge_s\": %.3f, "
+        ", \"drain_s\": %.3f, \"round_max_s\": %.3f, "
+        "\"dispatch_gap_s\": %.3f, \"merge_s\": %.3f, "
         "\"flush_s\": %.3f, \"seq_s\": %.3f, \"parallel_rounds\": %llu, "
         "\"sequential_events\": %llu, \"merged_records\": %llu, "
         "\"deferred_schedules\": %llu",
-        c.st.drain_seconds, c.st.round_max_seconds, c.st.merge_seconds,
-        c.st.flush_seconds, c.st.sequential_seconds,
+        c.st.drain_seconds, c.st.round_max_seconds, c.dispatch_gap_s(),
+        c.st.merge_seconds, c.st.flush_seconds, c.st.sequential_seconds,
         static_cast<unsigned long long>(c.st.parallel_rounds),
         static_cast<unsigned long long>(c.st.sequential_events),
         static_cast<unsigned long long>(c.st.merged_records),
         static_cast<unsigned long long>(c.st.deferred_schedules));
     s += buf;
     if (wall_1shard > 0) {
-      std::snprintf(buf, sizeof(buf),
-                    ", \"measured_speedup_vs_1shard\": %.3f, "
-                    "\"projected_wall_s\": %.3f, "
-                    "\"projected_speedup_vs_1shard\": %.3f",
-                    wall_1shard / c.wall_s, c.projected_wall_s(),
-                    wall_1shard / c.projected_wall_s());
+      std::snprintf(buf, sizeof(buf), ", \"measured_speedup_vs_1shard\": %.3f",
+                    wall_1shard / c.wall_s);
       s += buf;
     }
   }
@@ -167,12 +162,14 @@ std::string json_cell(const Cell& c, double wall_1shard) {
 }
 
 void print_row(const Cell& c) {
+  char gap[16] = "-";
+  if (c.shards > 1) std::snprintf(gap, sizeof(gap), "%.3f", c.dispatch_gap_s());
   std::printf(
-      "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f %-9.0f "
-      "%-8.2f %-9llu %-9zu\n",
+      "%-4d %-7d %-34s %-10.2f %-8.2f %-11.1f %-9.2f %-8.2f %-8.2f %-8s "
+      "%-9.0f %-8.2f %-9llu %-9zu\n",
       c.k, c.shards, std::string(to_string(c.anomaly)).c_str(), c.precision,
       c.recall, c.collected, c.events / 1e6, c.wall_s,
-      c.events_per_sec() / 1e6, c.peak_rss_mb, c.calendar_mb,
+      c.events_per_sec() / 1e6, gap, c.peak_rss_mb, c.calendar_mb,
       static_cast<unsigned long long>(c.flow_evictions), c.peak_flow_slots);
 }
 
@@ -212,11 +209,11 @@ int main(int argc, char** argv) {
   const unsigned host_cpus = std::thread::hardware_concurrency();
   std::printf("host_cpus=%u (wall-clock speedup from sharding needs >1)\n\n",
               host_cpus);
-  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s %-9s %-8s "
-              "%-9s %-9s\n",
+  std::printf("%-4s %-7s %-34s %-10s %-8s %-11s %-9s %-8s %-8s %-8s %-9s "
+              "%-8s %-9s %-9s\n",
               "k", "shards", "anomaly", "precision", "recall", "collected",
-              "Mevents", "wall-s", "Mev/s", "peakRSS", "cal-MB", "evicted",
-              "peakSlots");
+              "Mevents", "wall-s", "Mev/s", "gap-s", "peakRSS", "cal-MB",
+              "evicted", "peakSlots");
 
   std::vector<Cell> cells;
   // wall_s of the shards=1 cell for each (k, anomaly), for speedup ratios.
@@ -246,17 +243,14 @@ int main(int argc, char** argv) {
       print_row(c);
       if (c.shards > 1) {
         const double w1 = base_wall(16, c.anomaly);
-        std::printf("     drain=%.2fs merge=%.2fs flush=%.2fs seq=%.2fs "
-                    "rounds=%llu; measured %.2fx vs 1 shard",
-                    c.st.drain_seconds, c.st.merge_seconds, c.st.flush_seconds,
-                    c.st.sequential_seconds,
+        std::printf("     drain=%.2fs round-max=%.2fs gap=%.2fs merge=%.2fs "
+                    "flush=%.2fs seq=%.2fs rounds=%llu; measured %.2fx vs "
+                    "1 shard\n",
+                    c.st.drain_seconds, c.st.round_max_seconds,
+                    c.dispatch_gap_s(), c.st.merge_seconds,
+                    c.st.flush_seconds, c.st.sequential_seconds,
                     static_cast<unsigned long long>(c.st.parallel_rounds),
                     w1 > 0 ? w1 / c.wall_s : 0.0);
-        if (w1 > 0) {
-          std::printf(", projected %.2fx with %d cores",
-                      w1 / c.projected_wall_s(), c.shards);
-        }
-        std::printf("\n");
       }
       cells.push_back(c);
     }
@@ -267,13 +261,7 @@ int main(int argc, char** argv) {
   const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
   const std::string path =
       env_path != nullptr ? env_path : "BENCH_hotpath.json";
-  std::string payload = "{\n    \"host_cpus\": " + std::to_string(host_cpus) +
-                        ",\n    \"note\": \"projected_* extrapolates the "
-                        "measured phase decomposition to a host with >= "
-                        "shards cores: worker drain + mailbox flush divide "
-                        "by shard count, merge/sequential/setup stay as "
-                        "measured; on a 1-cpu host the measured speedup "
-                        "reflects cache locality only\"";
+  std::string payload = "{\n    \"host_cpus\": " + std::to_string(host_cpus);
   payload += ",\n    \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     payload += (i == 0 ? "\n      " : ",\n      ");

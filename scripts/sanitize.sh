@@ -14,9 +14,10 @@
 #       fault-attribution suites (routing withdrawal callbacks fire inside
 #       sweep workers), the misdiagnosis-hunter campaign (HuntCampaignTest:
 #       batched trial evaluation through multi-threaded run_sweep), and the
-#       sharded-simulator suites (ShardIdentity /
-#       ShardEdge): intra-run parallel rounds drain per-shard calendars
-#       from a persistent worker pool, exactly the data-race surface TSan
+#       sharded-simulator suites (ShardIdentity / ShardEdge /
+#       ShardPool): intra-run parallel rounds drain per-shard calendars
+#       on the calling thread and a persistent worker pool synchronised
+#       only by a pair of atomics, exactly the data-race surface TSan
 #       exists for. The golden-trace k=4 suite is deliberately NOT run
 #       under TSan: it replays single deterministic simulations with no
 #       cross-thread surface, and the plain ctest job already covers it.
@@ -45,7 +46,7 @@ run_tsan() {
   cmake --build build-tsan -j "$(nproc)" \
         --target hawkeye_tests hawkeye_shard_identity_test
   (cd build-tsan && ctest --output-on-failure -j "$(nproc)" \
-        -R 'SweepTest|FaultPlanTest|FaultInjectorTest|FaultRunnerTest|LinkFlapTest|PfcFrameFaultTest|TargetedRepollTest|SelfHealingTest|ReconvergenceTest|FaultAttributionTest|ConfidenceCurveTest|FleetPlanTest|FleetRunTest|CalibrationTest|ShardIdentity|ShardEdgeTest|HuntCampaignTest')
+        -R 'SweepTest|FaultPlanTest|FaultInjectorTest|FaultRunnerTest|LinkFlapTest|PfcFrameFaultTest|TargetedRepollTest|SelfHealingTest|ReconvergenceTest|FaultAttributionTest|ConfidenceCurveTest|FleetPlanTest|FleetRunTest|CalibrationTest|ShardIdentity|ShardEdgeTest|ShardPoolTest|HuntCampaignTest')
 }
 
 case "$flavour" in

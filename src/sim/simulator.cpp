@@ -1,41 +1,76 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
 #include <thread>
 
 namespace hawkeye::sim {
 
-/// Persistent worker pool for parallel rounds. Workers block on a round
-/// generation counter; the main thread publishes a horizon, wakes them, and
-/// waits for the drain count to hit zero. The mutex acquire/release pairs
-/// give every round a happens-before edge in both directions, so all
-/// per-shard state written by a worker is visible to the barrier (and vice
-/// versa) without any other synchronization.
+/// Persistent worker pool for parallel rounds: one thread per device shard
+/// except shard 0. The main thread publishes a task, does its own share
+/// (drains shard 0; at the barrier flushes calendar 0 and the control
+/// calendar) and then waits, so no thread sits blocked while others work.
+///
+/// Dispatch is two atomics. The main thread writes `task` and `cap`, stores
+/// the worker count into `remaining`, and bumps `gen` with a release RMW; a
+/// worker's acquire load that observes the new `gen` therefore sees the
+/// task, the horizon and every shard write the main thread made before the
+/// round (the previous barrier included). Each worker reports done with an
+/// acq_rel decrement of `remaining`; the decrements form one release
+/// sequence, so the main thread's acquire load that reads 0 happens after
+/// every worker's shard writes. Between those two edges each shard's state
+/// is touched by exactly one thread, so the pairs are all the ordering a
+/// round needs. `gen` cannot skip a round under a worker: the main thread
+/// bumps it again only after every worker has reported the last one.
+///
+/// Blocking goes through std::atomic::wait/notify (futex-backed for 32-bit
+/// atomics, after a short library spin), never a long busy-spin: spinning
+/// threads starve each other once concurrent runs oversubscribe the CPUs.
 struct Simulator::Pool {
-  enum class Task { kDrain, kFlush };
-  std::vector<std::thread> threads;
-  std::mutex m;
-  std::condition_variable cv_work;
-  std::condition_variable cv_done;
-  std::uint64_t gen = 0;
-  int remaining = 0;
+  enum class Task { kDrain, kFlush, kQuit };
+  std::atomic<std::uint32_t> gen{0};
+  std::atomic<std::int32_t> remaining{0};
   Time cap = 0;
   Task task = Task::kDrain;
-  bool quit = false;
+  std::vector<std::thread> threads;
+
+  void publish(Task t, Time horizon) {
+    task = t;
+    cap = horizon;
+    remaining.store(static_cast<std::int32_t>(threads.size()),
+                    std::memory_order_relaxed);
+    gen.fetch_add(1, std::memory_order_release);
+    gen.notify_all();
+  }
+
+  /// One dispatched task: publishes on construction and waits for every
+  /// worker on destruction, so the workers are quiescent on every exit from
+  /// the main thread's own share (an exception from an event included)
+  /// before anything else touches their shards or the next task is posted.
+  class Round {
+   public:
+    Round(Pool& pool, Task t, Time horizon) : pool_(pool) {
+      pool_.publish(t, horizon);
+    }
+    ~Round() {
+      for (std::int32_t r;
+           (r = pool_.remaining.load(std::memory_order_acquire)) != 0;)
+        pool_.remaining.wait(r, std::memory_order_acquire);
+    }
+    Round(const Round&) = delete;
+    Round& operator=(const Round&) = delete;
+
+   private:
+    Pool& pool_;
+  };
 };
 
 Simulator::Simulator() = default;
 
 Simulator::~Simulator() {
   if (pool_ != nullptr) {
-    {
-      std::lock_guard<std::mutex> lk(pool_->m);
-      pool_->quit = true;
-    }
-    pool_->cv_work.notify_all();
+    pool_->publish(Pool::Task::kQuit, 0);
     for (std::thread& t : pool_->threads) t.join();
   }
 }
@@ -286,32 +321,21 @@ bool Simulator::step_sharded() {
 void Simulator::ensure_pool() {
   if (pool_ != nullptr) return;
   pool_ = std::make_unique<Pool>();
+  Pool& pool = *pool_;
   const int workers = device_count();
-  pool_->threads.reserve(static_cast<std::size_t>(workers));
-  for (int s = 0; s < workers; ++s) {
-    pool_->threads.emplace_back([this, s] {
-      std::uint64_t seen = 0;
-      for (;;) {
-        Time cap;
-        Pool::Task task;
-        {
-          std::unique_lock<std::mutex> lk(pool_->m);
-          pool_->cv_work.wait(
-              lk, [&] { return pool_->quit || pool_->gen != seen; });
-          if (pool_->quit) return;
-          seen = pool_->gen;
-          cap = pool_->cap;
-          task = pool_->task;
+  pool.threads.reserve(static_cast<std::size_t>(workers - 1));
+  for (int s = 1; s < workers; ++s) {
+    pool.threads.emplace_back([this, &pool, s] {
+      for (std::uint32_t seen = 0;;) {
+        pool.gen.wait(seen, std::memory_order_acquire);
+        seen = pool.gen.load(std::memory_order_acquire);
+        switch (pool.task) {
+          case Pool::Task::kQuit: return;
+          case Pool::Task::kDrain: drain_shard(s, pool.cap); break;
+          case Pool::Task::kFlush: flush_target(s); break;
         }
-        if (task == Pool::Task::kDrain) {
-          drain_shard(s, cap);
-        } else {
-          flush_target(s);
-        }
-        {
-          std::lock_guard<std::mutex> lk(pool_->m);
-          if (--pool_->remaining == 0) pool_->cv_done.notify_one();
-        }
+        if (pool.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1)
+          pool.remaining.notify_one();
       }
     });
   }
@@ -324,13 +348,8 @@ void Simulator::run_parallel_round(Time cap) {
     shards_[static_cast<std::size_t>(s)]->round_busy = 0;
   const auto t0 = std::chrono::steady_clock::now();
   {
-    std::unique_lock<std::mutex> lk(pool_->m);
-    pool_->cap = cap;
-    pool_->task = Pool::Task::kDrain;
-    pool_->remaining = workers;
-    ++pool_->gen;
-    pool_->cv_work.notify_all();
-    pool_->cv_done.wait(lk, [&] { return pool_->remaining == 0; });
+    const Pool::Round round(*pool_, Pool::Task::kDrain, cap);
+    drain_shard(0, cap);
   }
   double mx = 0;
   for (int s = 0; s < workers; ++s)
@@ -343,8 +362,9 @@ void Simulator::run_parallel_round(Time cap) {
   stats_.barrier_seconds += std::chrono::duration<double>(t2 - t1).count();
 }
 
-/// Worker body: drain the shard's own calendar below the horizon, recording
-/// each executed event's canonical parentage for the barrier merge.
+/// Round body (pool worker, or the main thread for shard 0): drain the
+/// shard's own calendar below the horizon, recording each executed event's
+/// canonical parentage for the barrier merge.
 void Simulator::drain_shard(int s, Time cap) {
   Shard& sh = *shards_[static_cast<std::size_t>(s)];
   const auto t0 = std::chrono::steady_clock::now();
@@ -374,10 +394,10 @@ void Simulator::drain_shard(int s, Time cap) {
 
 /// Flush every shard's outbox bucket for calendar `t` into `t`'s calendar,
 /// resolving each deferred schedule's parent rank to its canonical class-0
-/// key. Runs on the worker owning `t` (main thread for the control shard):
-/// the destination calendar is touched by exactly one thread, the source
-/// rank_of/outbox vectors are read-only by then, and every key is globally
-/// unique so insertion order cannot affect pop order.
+/// key. Runs on the worker owning `t` (the main thread for calendar 0 and
+/// the control calendar): the destination calendar is touched by exactly
+/// one thread, the source rank_of/outbox vectors are read-only by then, and
+/// every key is globally unique so insertion order cannot affect pop order.
 void Simulator::flush_target(int t) {
   Shard& dst = *shards_[static_cast<std::size_t>(t)];
   const int n = shard_count();
@@ -497,7 +517,7 @@ void Simulator::round_barrier() {
     tls_ctx_ = nullptr;
   }
   // 3. Mailbox flush. Worker t pushes every bucket destined for calendar t
-  // into its own calendar; the main thread takes the control calendar.
+  // into its own calendar; the main thread takes calendar 0 and control.
   bool any_out = false;
   for (int s = 0; s < n; ++s) {
     Shard& sh = *shards_[static_cast<std::size_t>(s)];
@@ -513,15 +533,9 @@ void Simulator::round_barrier() {
           .count();
   const auto flush_t0 = std::chrono::steady_clock::now();
   if (any_out) {
-    std::unique_lock<std::mutex> lk(pool_->m);
-    pool_->task = Pool::Task::kFlush;
-    pool_->remaining = device_count();
-    ++pool_->gen;
-    pool_->cv_work.notify_all();
-    lk.unlock();
+    const Pool::Round round(*pool_, Pool::Task::kFlush, 0);
+    flush_target(0);
     flush_target(control_shard());
-    lk.lock();
-    pool_->cv_done.wait(lk, [&] { return pool_->remaining == 0; });
   }
   stats_.flush_seconds +=
       std::chrono::duration<double>(std::chrono::steady_clock::now() -

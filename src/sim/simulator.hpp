@@ -23,9 +23,10 @@ namespace hawkeye::sim {
 /// relies on for thread-count independence).
 ///
 /// `configure_shards(N, L)` with N > 1 switches the simulator into
-/// *intra-run* parallel mode (PR 6): N device shards plus one control shard,
-/// each owning its own EventCalendar, drained by a persistent worker pool in
-/// conservative rounds bounded by the lookahead horizon
+/// *intra-run* parallel mode: N device shards plus one control shard, each
+/// owning its own EventCalendar, drained in conservative rounds by the
+/// calling thread (device shard 0) and a persistent pool of N - 1 worker
+/// threads (shards 1..N-1), bounded by the lookahead horizon
 /// `H = min pending time + L` (L = the minimum cross-shard scheduling
 /// latency, in practice the minimum link delay). Cross-shard and
 /// post-horizon schedules are deferred into per-shard outboxes (the
@@ -167,10 +168,12 @@ class Simulator {
   /// summed); times sizeof(EventCalendar::Event) is the calendars' heap.
   std::size_t retained_event_capacity() const;
 
-  /// Sharded-mode execution profile: where wall-clock went (parallel worker
-  /// drains vs the serial barrier vs sequential windows) and how much work
-  /// crossed the round boundary. All zeros when unsharded. The benches use
-  /// this to report shard-scaling efficiency next to raw wall-clock.
+  /// Sharded-mode execution profile: where wall-clock went (parallel drains
+  /// vs the serial barrier vs sequential windows) and how much work crossed
+  /// the round boundary. All zeros when unsharded. The benches use this to
+  /// report shard-scaling efficiency next to raw wall-clock.
+  /// `drain_seconds - round_max_seconds` is the dispatch gap: round time
+  /// not spent by the slowest shard, i.e. waking the pool and collecting it.
   struct ShardStats {
     std::uint64_t parallel_rounds = 0;
     std::uint64_t sequential_windows = 0;
@@ -178,8 +181,9 @@ class Simulator {
     std::uint64_t merged_records = 0;     // events rank-merged at barriers
     std::uint64_t deferred_schedules = 0; // mailbox entries
     std::uint64_t deferred_controls = 0;
-    double drain_seconds = 0;      // workers executing (parallel phase)
-    double round_max_seconds = 0;  // sum over rounds of slowest worker
+    double drain_seconds = 0;      // parallel phase: publish to last done,
+                                   // the main thread's own shard 0 included
+    double round_max_seconds = 0;  // sum over rounds of the slowest shard
     double barrier_seconds = 0;    // rank merge + controls + mailbox flush
     double merge_seconds = 0;      // serial part: rank merge + controls
     double flush_seconds = 0;      // parallelizable part: mailbox flush
@@ -189,7 +193,7 @@ class Simulator {
   /// Events executed per shard (device shards then control); empty when
   /// unsharded. Exposes partition balance to the benches.
   std::vector<std::uint64_t> per_shard_executed() const;
-  /// Summed worker-side drain seconds per shard (parallel rounds only).
+  /// Summed drain seconds per shard (parallel rounds only).
   std::vector<double> per_shard_busy() const;
 
  private:
@@ -216,19 +220,19 @@ class Simulator {
     std::uint32_t child;
     Action fn;
   };
-  /// One shard: calendar + clock + per-round staging. Only the owning
-  /// worker touches it during a parallel round; the main thread touches it
-  /// only between rounds (the pool mutex orders the two).
+  /// One shard: calendar + clock + per-round staging. Only the draining
+  /// thread touches it during a parallel round; the main thread touches it
+  /// only between rounds (the pool's release/acquire atomics order the two).
   struct alignas(64) Shard {
     EventCalendar cal;
     Time now = 0;
     std::uint64_t executed = 0;
-    double busy = 0;  // worker-side drain time, summed over rounds
+    double busy = 0;  // drain time, summed over rounds
     double round_busy = 0;  // this round's drain time
     std::vector<Rec> recs;               // this round's executed events
     /// Deferred schedules, bucketed by destination calendar so the barrier
-    /// flush parallelizes: worker t drains every shard's bucket t into its
-    /// own calendar (per-(src,dst) mailboxes).
+    /// flush parallelizes: the thread owning calendar t drains every
+    /// shard's bucket t into it (per-(src,dst) mailboxes).
     std::vector<std::vector<DefSched>> out;
     std::vector<DefCtl> ctl;             // deferred control closures
     std::vector<std::uint64_t> rank_of;  // round-local idx -> global rank
@@ -236,7 +240,7 @@ class Simulator {
   /// Per-thread execution context; null outside event execution.
   struct ExecCtx {
     int shard = 0;
-    bool parallel = false;    // inside a parallel worker round
+    bool parallel = false;    // inside a parallel round
     std::uint64_t parent = 0; // class-0 parent rank (exclusive contexts)
     std::uint32_t lidx = 0;   // parallel: executing event's record index
     std::uint32_t child = 0;  // next child index

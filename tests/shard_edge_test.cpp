@@ -17,13 +17,24 @@
 //      its stalled-FIFO flush (kLinkDown drops, buffer rewind, PFC
 //      release) must produce the 1-shard result even though the flushed
 //      link's two endpoints live on different calendars.
+//
+// ShardPoolTest covers the round-dispatch pool itself (the calling thread
+// drains shard 0, one worker per further shard, atomic round barrier):
+// oversubscribed hosts, a pool left idle between run calls, and a sharded
+// simulator that never builds its pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <iterator>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <utility>
 #include <vector>
 
+#include "eval/canonical.hpp"
+#include "eval/sweep.hpp"
 #include "eval/testbed.hpp"
 #include "fault/fault.hpp"
 #include "net/topology.hpp"
@@ -338,6 +349,149 @@ TEST(ShardEdgeTest, PortWithdrawFlushAcrossShardBoundaryMatchesOneShard) {
   EXPECT_EQ(two.epoch, one.epoch);
   EXPECT_TRUE(pfc_eq(two.trace, one.trace))
       << "PFC trace multiset diverged between 1 and 2 shards";
+}
+
+
+// ---------------------------------------------------------------------------
+// 4. The round-dispatch pool.
+
+TEST(ShardPoolTest, OversubscribedSweepMatchesOneShard) {
+  // Sharded runs fanned out over twice as many sweep threads as CPUs: every
+  // run's pool competes with the others for cores, so workers block and
+  // wake late. Blocking dispatch must still reach the 1-shard bytes.
+  using diagnosis::AnomalyType;
+  const AnomalyType scenarios[] = {AnomalyType::kMicroBurstIncast,
+                                   AnomalyType::kInLoopDeadlock};
+  constexpr int kShardCounts[] = {1, 4, 8};
+  std::vector<RunConfig> cfgs;
+  for (const bool flap : {false, true}) {
+    for (const AnomalyType scenario : scenarios) {
+      for (const int shards : kShardCounts) {
+        RunConfig cfg;
+        cfg.scenario = scenario;
+        cfg.seed = 3;
+        cfg.shards = shards;
+        if (flap) {
+          // The flap-reconverge regime of the shard-identity suite.
+          fault::LinkFlapSpec spec;
+          spec.start = sim::us(100);
+          spec.down_ns = sim::us(100);
+          spec.period_ns = sim::us(500);
+          spec.jitter = 0.5;
+          spec.holddown_ns = sim::us(50);
+          cfg.faults.seed = cfg.seed;
+          cfg.faults.link_flaps.push_back(spec);
+        }
+        cfgs.push_back(cfg);
+      }
+    }
+  }
+  SweepOptions opts;
+  opts.threads =
+      2 * static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  const std::vector<RunResult> results = run_sweep(cfgs, opts);
+  ASSERT_EQ(results.size(), cfgs.size());
+  constexpr std::size_t kGroup = std::size(kShardCounts);  // 1 shard first
+  for (std::size_t base = 0; base < cfgs.size(); base += kGroup) {
+    const RunConfig& c1 = cfgs[base];
+    const std::string one = canonical_line(c1.scenario, c1.seed, results[base]);
+    for (std::size_t j = 1; j < kGroup; ++j) {
+      const RunConfig& cn = cfgs[base + j];
+      EXPECT_EQ(canonical_line(cn.scenario, cn.seed, results[base + j]), one)
+          << "shards=" << cn.shards
+          << " flap=" << !cn.faults.link_flaps.empty();
+    }
+  }
+}
+
+/// A token hopping between shards: it logs (time, id) on its shard, then
+/// schedules its next hop locally or, every third hop, one lookahead away on
+/// the next shard. Tokens stop once past `end`.
+struct HopToken {
+  static constexpr int kShards = 4;
+  static constexpr sim::Time kLookahead = 100;
+  sim::Simulator* simu;
+  std::vector<std::pair<sim::Time, int>>* logs;  // one per shard
+  sim::Time end;
+  int shard;
+  int id;
+  int hop;
+
+  void operator()() const {
+    logs[shard].emplace_back(simu->now(), id);
+    if (simu->now() > end) return;
+    HopToken next = *this;
+    ++next.hop;
+    if (hop % 3 == 2) {
+      next.shard = (shard + 1) % kShards;
+      simu->schedule_on(next.shard, kLookahead, next);
+    } else {
+      simu->schedule(7 + shard, next);
+    }
+  }
+};
+
+TEST(ShardPoolTest, IdlePoolResumesWithOneShardOrder) {
+  // Run to a mid-trace `until`, leave the pool idle long enough for every
+  // worker to block, then resume to the end and destroy the simulator: the
+  // per-shard event streams must equal the 1-shard run projected onto each
+  // shard, and the destructor must join the blocked workers.
+  constexpr sim::Time kMid = 20'000;
+  constexpr sim::Time kEnd = 40'000;
+  auto drive = [](sim::Simulator& simu,
+                  std::vector<std::pair<sim::Time, int>>* logs, bool pause) {
+    for (int s = 0; s < HopToken::kShards; ++s) {
+      for (int t = 0; t < 3; ++t) {
+        simu.with_setup_shard(s, [&] {
+          simu.schedule_at(t * 5, HopToken{&simu, logs, kEnd, s,
+                                           s * 3 + t, 0});
+        });
+      }
+    }
+    simu.run_until(kMid);
+    EXPECT_FALSE(simu.empty());
+    if (pause) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    simu.run();
+    EXPECT_TRUE(simu.empty());
+  };
+
+  std::vector<std::pair<sim::Time, int>> unsharded[HopToken::kShards];
+  std::uint64_t unsharded_events = 0;
+  {
+    sim::Simulator simu;
+    drive(simu, unsharded, false);
+    unsharded_events = simu.executed_events();
+  }
+  std::vector<std::pair<sim::Time, int>> sharded[HopToken::kShards];
+  {
+    sim::Simulator simu;
+    simu.configure_shards(HopToken::kShards, HopToken::kLookahead);
+    drive(simu, sharded, true);
+    EXPECT_EQ(simu.executed_events(), unsharded_events);
+    EXPECT_GT(simu.shard_stats().parallel_rounds, 0u)
+        << "the run never dispatched a parallel round";
+  }  // joins the idle workers
+  for (int s = 0; s < HopToken::kShards; ++s) {
+    ASSERT_FALSE(unsharded[s].empty());
+    EXPECT_EQ(sharded[s], unsharded[s]) << "shard " << s;
+  }
+}
+
+TEST(ShardPoolTest, NeverRunShardedSimulatorDestructsCleanly) {
+  // The pool is built by the first parallel round; a sharded simulator (or
+  // testbed) that never runs has none, and destroying it, with events still
+  // pending, must neither hang nor leak a thread.
+  {
+    sim::Simulator simu;
+    simu.configure_shards(4, 100);
+    simu.with_setup_shard(2, [&] { simu.schedule_at(10, [] {}); });
+    EXPECT_EQ(simu.pending(), 1u);
+  }
+  Testbed::Options opts;
+  opts.shards = 4;
+  Testbed tb(opts);
+  EXPECT_EQ(tb.simu.device_count(), 4);
+  EXPECT_EQ(tb.simu.shard_stats().parallel_rounds, 0u);
 }
 
 }  // namespace
