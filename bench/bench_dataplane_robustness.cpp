@@ -8,16 +8,10 @@
 //                     (100 us outages, seeded jitter; the runner binds the
 //                     placeholder spec to the crafted victim's route)
 //
-// Each run is classified against the injected fault truth in RunResult:
-//   correct          — true positive despite the faults
-//   degraded         — wrong/missing verdict, explicitly flagged degraded
-//   fault_attributed — wrong/missing verdict, not flagged, but an injected
-//                      data-plane fault actually fired ON THE VICTIM'S
-//                      FORWARDING PATH: the miss is attributable to the
-//                      experiment's own sabotage (off-path faults don't
-//                      excuse anything)
-//   misclassified    — wrong verdict, full confidence, nothing to blame
-//   missed           — no verdict, no flag, nothing to blame
+// Each run is classified by the shared verdict ledger (eval::VerdictTally):
+// correct, degraded, fault_attributed (a wrong/missing verdict while an
+// injected data-plane fault fired ON THE VICTIM'S FORWARDING PATH — off-path
+// faults don't excuse anything), or silently wrong (misclassified/missed).
 //
 // The acceptance bar this bench enforces (exit code 1 on violation): NO
 // silently-wrong verdicts — misclassified + missed must be zero at every
@@ -33,111 +27,61 @@ using namespace hawkeye::bench;
 
 namespace {
 
-struct DataplaneStats {
-  int correct = 0, degraded = 0, fault_attributed = 0;
-  int misclassified = 0, missed = 0;
-  int runs = 0;
-  double coverage = 0, confidence = 0, repolls = 0;
-  double link_down_drops = 0, pfc_frames_lost = 0, pfc_loss_drops = 0;
-
-  void add(const eval::RunResult& r) {
-    ++runs;
-    coverage += r.collection_coverage;
-    confidence += r.confidence;
-    repolls += static_cast<double>(r.repolls);
-    link_down_drops += static_cast<double>(r.link_down_drops);
-    pfc_frames_lost +=
-        static_cast<double>(r.pfc_pause_lost + r.pfc_resume_lost);
-    pfc_loss_drops += static_cast<double>(r.pfc_loss_drops);
-    // Attribution is victim-path-aware (PR 4): a fault only excuses a bad
-    // verdict when it actually fired on the diagnosed flow's forwarding
-    // path (or was a port-global PFC frame fault). An off-path flap that
-    // merely coincided with a wrong verdict counts as a real miss.
-    if (r.tp) {
-      ++correct;
-    } else if (r.degraded) {
-      ++degraded;
-    } else if (r.dataplane_fault_fired && r.fault_on_victim_path) {
-      ++fault_attributed;
-    } else if (r.fp) {
-      ++misclassified;
-    } else {
-      ++missed;
-    }
-  }
-  int silent() const { return misclassified + missed; }
-  double avg(double sum) const { return runs == 0 ? 0 : sum / runs; }
-};
-
-fault::FaultPlan flap_plan(sim::Time period) {
-  fault::FaultPlan plan;
-  fault::LinkFlapSpec flap;  // unbound: the runner pins it to the victim path
-  flap.start = sim::us(100);
-  flap.down_ns = sim::us(100);
-  flap.period_ns = period;
-  flap.jitter = 0.5;
-  plan.link_flaps.push_back(flap);
-  return plan;
-}
-
 struct Point {
   const char* axis;
   double value;  // loss probability, or flap period in us
   fault::FaultPlan plan;
 };
 
-int run_axis(const std::vector<Point>& points, int n, std::string& json,
-             bool& first_point) {
+/// One table row: a cell's (or a point's TOTAL) verdicts and averages.
+eval::VerdictTally print_row(const std::string& name,
+                             const std::vector<eval::RunResult>& runs) {
+  const eval::VerdictTally v = tally(runs);
+  std::printf("%-26s %-8d %-9d %-12d %-14d %-7d %-9.2f %-11.2f\n",
+              name.c_str(), v.correct, v.degraded, v.fault_attributed,
+              v.misclassified, v.missed,
+              mean(runs, &eval::RunResult::collection_coverage),
+              mean(runs, &eval::RunResult::confidence));
+  return v;
+}
+
+/// Run every point over all six scenarios; returns the silent-verdict count.
+int run_axis(const std::vector<Point>& points, int n,
+             std::vector<JsonObject>& rows) {
   int silent_total = 0;
   for (const Point& pt : points) {
     std::printf("\n--- %s = %g ---\n", pt.axis, pt.value);
     std::printf("%-26s %-8s %-9s %-12s %-14s %-7s %-9s %-11s\n", "scenario",
                 "correct", "degraded", "fault_attr", "misclassified", "missed",
                 "coverage", "confidence");
-    DataplaneStats total;
+    std::vector<eval::RunResult> all;
     for (const auto type : all_anomalies()) {
       eval::RunConfig cfg;
       cfg.scenario = type;
       cfg.faults = pt.plan;
-      DataplaneStats st;
-      std::string name;
-      for (const eval::RunResult& r :
-           eval::run_sweep(eval::seed_sweep(cfg, n))) {
-        st.add(r);
-        total.add(r);
-        name = r.scenario_name;
-      }
-      std::printf("%-26s %-8d %-9d %-12d %-14d %-7d %-9.2f %-11.2f\n",
-                  name.c_str(), st.correct, st.degraded, st.fault_attributed,
-                  st.misclassified, st.missed, st.avg(st.coverage),
-                  st.avg(st.confidence));
-      if (!first_point) json += ",\n";
-      first_point = false;
-      json += "    {\"axis\": \"" + std::string(pt.axis) + "\"" +
-              ", \"value\": " + std::to_string(pt.value) +
-              ", \"scenario\": \"" + name + "\"" +
-              ", \"correct\": " + std::to_string(st.correct) +
-              ", \"degraded\": " + std::to_string(st.degraded) +
-              ", \"fault_attributed\": " +
-              std::to_string(st.fault_attributed) +
-              ", \"misclassified\": " + std::to_string(st.misclassified) +
-              ", \"missed\": " + std::to_string(st.missed) +
-              ", \"runs\": " + std::to_string(st.runs) +
-              ", \"avg_coverage\": " + std::to_string(st.avg(st.coverage)) +
-              ", \"avg_confidence\": " + std::to_string(st.avg(st.confidence)) +
-              ", \"avg_repolls\": " + std::to_string(st.avg(st.repolls)) +
-              ", \"avg_link_down_drops\": " +
-              std::to_string(st.avg(st.link_down_drops)) +
-              ", \"avg_pfc_frames_lost\": " +
-              std::to_string(st.avg(st.pfc_frames_lost)) +
-              ", \"avg_pfc_loss_drops\": " +
-              std::to_string(st.avg(st.pfc_loss_drops)) + "}";
+      const std::vector<eval::RunResult> runs =
+          eval::run_sweep(eval::seed_sweep(cfg, n));
+      const std::string& name = runs.back().scenario_name;
+      JsonObject row;
+      row.str("axis", pt.axis).num("value", pt.value).str("scenario", name);
+      add_verdicts(row, print_row(name, runs))
+          .num("avg_coverage",
+               mean(runs, &eval::RunResult::collection_coverage))
+          .num("avg_confidence", mean(runs, &eval::RunResult::confidence))
+          .num("avg_repolls", mean(runs, &eval::RunResult::repolls))
+          .num("avg_link_down_drops",
+               mean(runs, &eval::RunResult::link_down_drops))
+          .num("avg_pfc_frames_lost",
+               mean(runs,
+                    [](const eval::RunResult& r) {
+                      return r.pfc_pause_lost + r.pfc_resume_lost;
+                    }))
+          .num("avg_pfc_loss_drops",
+               mean(runs, &eval::RunResult::pfc_loss_drops));
+      rows.push_back(row);
+      all.insert(all.end(), runs.begin(), runs.end());
     }
-    std::printf("%-26s %-8d %-9d %-12d %-14d %-7d %-9.2f %-11.2f\n", "TOTAL",
-                total.correct, total.degraded, total.fault_attributed,
-                total.misclassified, total.missed, total.avg(total.coverage),
-                total.avg(total.confidence));
-    silent_total += total.silent();
+    silent_total += print_row("TOTAL", all).silent();
   }
   return silent_total;
 }
@@ -168,30 +112,18 @@ int main(int argc, char** argv) {
     Point pt;
     pt.axis = "flap_period_us";
     pt.value = static_cast<double>(period) / 1000.0;
-    pt.plan = flap_plan(period);
+    pt.plan = fault::FaultPlan::victim_flap_train(period);
     points.push_back(pt);
   }
 
-  std::string json =
-      "{\n  \"bench\": \"dataplane_robustness\",\n  \"seeds_per_point\": " +
-      std::to_string(n) + ",\n  \"points\": [\n";
-  bool first_point = true;
-  const int silent = run_axis(points, n, json, first_point);
-  json += "\n  ]\n}\n";
-
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_dataplane.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  if (silent > 0) {
-    std::printf("FAIL: %d silently-wrong verdict(s) — every miss must be "
-                "flagged degraded or attributed to an injected fault\n",
-                silent);
-    return 1;
-  }
-  std::printf("OK: no silently-wrong verdicts\n");
-  return 0;
+  std::vector<JsonObject> rows;
+  const int silent = run_axis(points, n, rows);
+  JsonObject doc;
+  doc.str("bench", "dataplane_robustness")
+      .num("seeds_per_point", n)
+      .rows("points", rows);
+  const bool wrote =
+      write_bench_json(bench_json_path("BENCH_dataplane.json"), doc);
+  const int rc = zero_silent_gate(silent);
+  return wrote ? rc : 1;
 }

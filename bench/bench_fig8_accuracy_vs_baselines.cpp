@@ -51,16 +51,8 @@ std::vector<FaultRound> fault_rounds() {
     plan.dma_faults.push_back(dma);
     rounds.push_back({"dma-failure", plan});
   }
-  {
-    fault::FaultPlan plan;
-    fault::LinkFlapSpec flap;  // unbound: the runner pins it to the victim path
-    flap.start = sim::us(100);
-    flap.down_ns = sim::us(100);
-    flap.period_ns = sim::us(500);
-    flap.jitter = 0.5;
-    plan.link_flaps.push_back(flap);
-    rounds.push_back({"flap-train", plan});
-  }
+  rounds.push_back(
+      {"flap-train", fault::FaultPlan::victim_flap_train(sim::us(500))});
   return rounds;
 }
 
@@ -79,9 +71,7 @@ int main() {
   // confidence signal, not of one anomaly type or of a clean fabric.
   eval::ConfidenceCurve curves[std::size(methods)];
 
-  std::string json = "{\n  \"bench\": \"fig8\",\n  \"seeds_per_point\": " +
-                     std::to_string(n) + ",\n  \"points\": [\n";
-  bool first_point = true;
+  std::vector<JsonObject> rows;
 
   for (const FaultRound& round : fault_rounds()) {
     for (const auto type : all_anomalies()) {
@@ -107,49 +97,45 @@ int main() {
         std::printf("%-14s %-10.2f %-8.2f %-11.2f\n",
                     std::string(to_string(methods[mi])).c_str(),
                     st.pr.precision(), st.pr.recall(), st.avg(confidence));
-        if (!first_point) json += ",\n";
-        first_point = false;
-        json += "    {\"scenario\": \"" + std::string(to_string(type)) + "\"" +
-                ", \"method\": \"" + std::string(to_string(methods[mi])) +
-                "\"" + ", \"faults\": \"" + round.name + "\"" +
-                ", \"precision\": " + std::to_string(st.pr.precision()) +
-                ", \"recall\": " + std::to_string(st.pr.recall()) +
-                ", \"avg_confidence\": " + std::to_string(st.avg(confidence)) +
-                ", \"runs\": " + std::to_string(st.runs) + "}";
+        rows.push_back(JsonObject()
+                           .str("scenario", to_string(type))
+                           .str("method", to_string(methods[mi]))
+                           .str("faults", round.name)
+                           .num("precision", st.pr.precision())
+                           .num("recall", st.pr.recall())
+                           .num("avg_confidence", st.avg(confidence))
+                           .num("runs", st.runs));
       }
     }
   }
-  json += "\n  ],\n  \"confidence_curves\": [\n";
 
   std::printf("\n--- accuracy vs confidence threshold τ (all scenarios) ---\n");
   std::printf("%-14s", "method");
   for (int i = 0; i <= 10; ++i) std::printf(" τ>=%.1f", i / 10.0);
   std::printf("\n");
+  std::vector<JsonObject> curve_rows;
   for (std::size_t mi = 0; mi < std::size(methods); ++mi) {
     const auto pts = curves[mi].points(10);
     std::printf("%-14s", std::string(to_string(methods[mi])).c_str());
     for (const auto& p : pts) std::printf(" %6.2f", p.accuracy());
     std::printf("\n");
-    if (mi > 0) json += ",\n";
-    json += "    {\"method\": \"" + std::string(to_string(methods[mi])) +
-            "\", \"points\": [";
-    for (std::size_t pi = 0; pi < pts.size(); ++pi) {
-      if (pi > 0) json += ", ";
-      json += "{\"threshold\": " + std::to_string(pts[pi].threshold) +
-              ", \"asserted\": " + std::to_string(pts[pi].asserted) +
-              ", \"correct\": " + std::to_string(pts[pi].correct) +
-              ", \"accuracy\": " + std::to_string(pts[pi].accuracy()) + "}";
+    std::vector<JsonObject> point_rows;
+    for (const auto& p : pts) {
+      point_rows.push_back(JsonObject()
+                               .num("threshold", p.threshold)
+                               .num("asserted", p.asserted)
+                               .num("correct", p.correct)
+                               .num("accuracy", p.accuracy()));
     }
-    json += "]}";
+    curve_rows.push_back(JsonObject()
+                             .str("method", to_string(methods[mi]))
+                             .rows("points", point_rows));
   }
-  json += "\n  ]\n}\n";
 
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_fig8.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  return 0;
+  JsonObject doc;
+  doc.str("bench", "fig8")
+      .num("seeds_per_point", n)
+      .rows("points", rows)
+      .rows("confidence_curves", curve_rows);
+  return write_bench_json(bench_json_path("BENCH_fig8.json"), doc) ? 0 : 1;
 }

@@ -12,7 +12,8 @@
 //   severity — scales the injected defect (RunConfig::fleet_severity):
 //              milder and harsher than each scenario's default
 //
-// Each run is scored against the scenario's fault truth:
+// Each run is scored against the scenario's fault truth by the shared
+// verdict ledger (eval::VerdictTally):
 //   correct       — the class's own verdict, localized to the sick
 //                   component (the erroring link / slow port / drain-bound
 //                   NIC / reduced tier)
@@ -20,9 +21,14 @@
 //                   (the fault also ate telemetry, and collection said so)
 //   misclassified — wrong verdict at full confidence
 //   missed        — no verdict at all, nothing flagged
+// The ledger's fault_attributed bucket (wrong/missing while a data-plane
+// fault fired on the victim's path) is no excuse here: the class's own
+// defect — CRC drops, rate limiting, drain delay on the victim's route —
+// is exactly such a fault, so every wrong run would otherwise be excused.
 //
 // Acceptance bar (exit 1 on violation): ZERO silently-wrong verdicts —
-// misclassified + missed must be zero in every cell, at every severity.
+// misclassified + missed + fault_attributed (VerdictTally::unflagged) must
+// be zero in every cell, at every severity.
 // Results go to BENCH_fleetfaults.json (HAWKEYE_BENCH_JSON overrides).
 //
 // `--smoke` shrinks the grid for CI: one seed, default severity only.
@@ -45,35 +51,6 @@ const std::vector<diagnosis::AnomalyType>& fleet_classes() {
   return kClasses;
 }
 
-struct FleetStats {
-  int correct = 0, degraded = 0, misclassified = 0, missed = 0;
-  int runs = 0;
-  double confidence = 0, coverage = 0;
-  double crc_drops = 0, retransmissions = 0, rate_limited = 0,
-         drain_delayed = 0;
-
-  void add(const eval::RunResult& r) {
-    ++runs;
-    confidence += r.confidence;
-    coverage += r.collection_coverage;
-    crc_drops += static_cast<double>(r.crc_drops);
-    retransmissions += static_cast<double>(r.retransmissions);
-    rate_limited += static_cast<double>(r.rate_limited_pkts);
-    drain_delayed += static_cast<double>(r.host_drain_delayed);
-    if (r.tp) {
-      ++correct;
-    } else if (r.degraded) {
-      ++degraded;
-    } else if (r.fp) {
-      ++misclassified;
-    } else {
-      ++missed;
-    }
-  }
-  int silent() const { return misclassified + missed; }
-  double avg(double sum) const { return runs == 0 ? 0 : sum / runs; }
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -90,10 +67,7 @@ int main(int argc, char** argv) {
   const std::vector<double> severities =
       smoke ? std::vector<double>{1.0} : std::vector<double>{0.5, 1.0, 2.0};
 
-  std::string json =
-      "{\n  \"bench\": \"fleet_faults\",\n  \"seeds_per_point\": " +
-      std::to_string(n) + ",\n  \"cells\": [\n";
-  bool first = true;
+  std::vector<JsonObject> rows;
   int silent_total = 0;
 
   for (const double sev : severities) {
@@ -107,60 +81,41 @@ int main(int argc, char** argv) {
         cfg.scenario = type;
         cfg.fleet_workload = w;
         cfg.fleet_severity = sev;
-        FleetStats st;
-        std::string name;
-        for (const eval::RunResult& r :
-             eval::run_sweep(eval::seed_sweep(cfg, n))) {
-          st.add(r);
-          name = r.scenario_name;
-        }
+        const std::vector<eval::RunResult> runs =
+            eval::run_sweep(eval::seed_sweep(cfg, n));
+        const eval::VerdictTally v = tally(runs);
+        const double confidence = mean(runs, &eval::RunResult::confidence);
         std::printf("%-26s %-11s %-8d %-9d %-14d %-7d %-11.2f\n",
-                    name.c_str(),
-                    std::string(workload::to_string(w)).c_str(), st.correct,
-                    st.degraded, st.misclassified, st.missed,
-                    st.avg(st.confidence));
-        silent_total += st.silent();
-        if (!first) json += ",\n";
-        first = false;
-        json += "    {\"class\": \"" +
-                std::string(diagnosis::to_string(type)) + "\"" +
-                ", \"workload\": \"" +
-                std::string(workload::to_string(w)) + "\"" +
-                ", \"severity\": " + std::to_string(sev) +
-                ", \"correct\": " + std::to_string(st.correct) +
-                ", \"degraded\": " + std::to_string(st.degraded) +
-                ", \"misclassified\": " + std::to_string(st.misclassified) +
-                ", \"missed\": " + std::to_string(st.missed) +
-                ", \"runs\": " + std::to_string(st.runs) +
-                ", \"avg_confidence\": " +
-                std::to_string(st.avg(st.confidence)) +
-                ", \"avg_coverage\": " + std::to_string(st.avg(st.coverage)) +
-                ", \"avg_crc_drops\": " + std::to_string(st.avg(st.crc_drops)) +
-                ", \"avg_retransmissions\": " +
-                std::to_string(st.avg(st.retransmissions)) +
-                ", \"avg_rate_limited\": " +
-                std::to_string(st.avg(st.rate_limited)) +
-                ", \"avg_drain_delayed\": " +
-                std::to_string(st.avg(st.drain_delayed)) + "}";
+                    runs.back().scenario_name.c_str(),
+                    std::string(workload::to_string(w)).c_str(), v.correct,
+                    v.degraded, v.misclassified, v.missed, confidence);
+        silent_total += v.unflagged();
+        JsonObject row;
+        row.str("class", diagnosis::to_string(type))
+            .str("workload", workload::to_string(w))
+            .num("severity", sev);
+        add_verdicts(row, v)
+            .num("avg_confidence", confidence)
+            .num("avg_coverage",
+                 mean(runs, &eval::RunResult::collection_coverage))
+            .num("avg_crc_drops", mean(runs, &eval::RunResult::crc_drops))
+            .num("avg_retransmissions",
+                 mean(runs, &eval::RunResult::retransmissions))
+            .num("avg_rate_limited",
+                 mean(runs, &eval::RunResult::rate_limited_pkts))
+            .num("avg_drain_delayed",
+                 mean(runs, &eval::RunResult::host_drain_delayed));
+        rows.push_back(row);
       }
     }
   }
-  json += "\n  ]\n}\n";
 
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_fleetfaults.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  if (silent_total > 0) {
-    std::printf("FAIL: %d silently-wrong verdict(s) — every fleet-fault run "
-                "must end in its class's own verdict or a flagged-degraded "
-                "collection\n",
-                silent_total);
-    return 1;
-  }
-  std::printf("OK: no silently-wrong verdicts in any cell\n");
-  return 0;
+  JsonObject doc;
+  doc.str("bench", "fleet_faults")
+      .num("seeds_per_point", n)
+      .rows("cells", rows);
+  const bool wrote =
+      write_bench_json(bench_json_path("BENCH_fleetfaults.json"), doc);
+  const int rc = zero_silent_gate(silent_total);
+  return wrote ? rc : 1;
 }

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "diagnosis/diagnosis.hpp"
 #include "eval/testbed.hpp"
 #include "eval/runner.hpp"
@@ -222,9 +223,8 @@ int main(int argc, char** argv) {
   }
   std::string fmt_flag = "--benchmark_out_format=json";
   if (!has_out) {
-    const char* json_path = std::getenv("HAWKEYE_BENCH_JSON");
-    out_flag = std::string("--benchmark_out=") +
-               (json_path != nullptr ? json_path : "BENCH_hotpath.json");
+    out_flag =
+        "--benchmark_out=" + bench::bench_json_path("BENCH_hotpath.json");
     args.push_back(out_flag.data());
     args.push_back(fmt_flag.data());
   }

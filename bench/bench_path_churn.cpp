@@ -9,12 +9,10 @@
 // coverage across the reroute and the provenance/diagnosis layers must
 // honour the collection contract of the churned path.
 //
-// Classification per run (victim-path-aware, like bench_dataplane):
-//   correct          — true positive despite the churn
-//   degraded         — wrong/missing verdict, explicitly flagged
-//   fault_attributed — wrong/missing verdict, but a flap genuinely bit the
-//                      victim's forwarding path
-//   misclassified/missed — silently wrong; must NEVER happen
+// Each run is classified by the shared, victim-path-aware verdict ledger
+// (eval::VerdictTally): correct, degraded, fault_attributed (a flap
+// genuinely bit the victim's forwarding path), or silently wrong
+// (misclassified/missed) — which must NEVER happen.
 //
 // Acceptance bar (exit 1 on violation):
 //   1. zero silently-wrong verdicts at every point, both modes;
@@ -23,60 +21,13 @@
 //
 // Results go to BENCH_pathchurn.json (HAWKEYE_BENCH_JSON overrides).
 // `--smoke` shrinks the grid for CI: one seed, one flap period.
+#include <algorithm>
 #include <cstring>
 
 #include "bench_common.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
-
-namespace {
-
-struct ChurnStats {
-  int correct = 0, degraded = 0, fault_attributed = 0;
-  int misclassified = 0, missed = 0;
-  int runs = 0, churned_runs = 0;
-  double routing_epochs = 0, link_down_drops = 0, coverage = 0, confidence = 0;
-
-  void add(const eval::RunResult& r) {
-    ++runs;
-    if (r.path_churned) ++churned_runs;
-    routing_epochs += static_cast<double>(r.routing_epochs);
-    link_down_drops += static_cast<double>(r.link_down_drops);
-    coverage += r.collection_coverage;
-    confidence += r.confidence;
-    if (r.tp) {
-      ++correct;
-    } else if (r.degraded) {
-      ++degraded;
-    } else if (r.dataplane_fault_fired && r.fault_on_victim_path) {
-      ++fault_attributed;
-    } else if (r.fp) {
-      ++misclassified;
-    } else {
-      ++missed;
-    }
-  }
-  int silent() const { return misclassified + missed; }
-  double accuracy() const {
-    return runs == 0 ? 0 : static_cast<double>(correct) / runs;
-  }
-  double avg(double sum) const { return runs == 0 ? 0 : sum / runs; }
-};
-
-fault::FaultPlan churn_plan(sim::Time period, sim::Time holddown) {
-  fault::FaultPlan plan;
-  fault::LinkFlapSpec flap;  // unbound: the runner pins it to the victim path
-  flap.start = sim::us(100);
-  flap.down_ns = sim::us(100);
-  flap.period_ns = period;
-  flap.jitter = 0.5;
-  flap.holddown_ns = holddown;
-  plan.link_flaps.push_back(flap);
-  return plan;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
@@ -89,18 +40,29 @@ int main(int argc, char** argv) {
       smoke ? std::vector<sim::Time>{sim::us(500)}
             : std::vector<sim::Time>{sim::us(1000), sim::us(500), sim::us(250)};
 
-  std::string json =
-      "{\n  \"bench\": \"path_churn\",\n  \"seeds_per_point\": " +
-      std::to_string(n) +
-      ",\n  \"holddown_us\": " + std::to_string(holddown / 1000) +
-      ",\n  \"points\": [\n";
-  bool first_point = true;
+  const auto churned = [](const std::vector<eval::RunResult>& runs) {
+    return static_cast<int>(std::count_if(
+        runs.begin(), runs.end(),
+        [](const eval::RunResult& r) { return r.path_churned; }));
+  };
+  const auto print_row = [&churned](const std::string& name,
+                                    const std::vector<eval::RunResult>& runs) {
+    const eval::VerdictTally v = tally(runs);
+    std::printf("%-26s %-8d %-9d %-12d %-8d %-7d %-9.2f %-8.1f\n",
+                name.c_str(), v.correct, v.degraded, v.fault_attributed,
+                v.silent(), churned(runs),
+                mean(runs, &eval::RunResult::collection_coverage),
+                mean(runs, &eval::RunResult::routing_epochs));
+    return v;
+  };
+
+  std::vector<JsonObject> rows;
   int silent_total = 0;
   bool ordering_violated = false;
 
   for (const sim::Time period : periods) {
     const double period_us = static_cast<double>(period) / 1000.0;
-    ChurnStats mode_total[2];
+    eval::VerdictTally mode_total[2];
     for (const int reconverge : {0, 1}) {
       const char* mode = reconverge ? "reconverge" : "frozen";
       std::printf("\n--- flap period %g us, %s routing ---\n", period_us,
@@ -108,84 +70,60 @@ int main(int argc, char** argv) {
       std::printf("%-26s %-8s %-9s %-12s %-8s %-7s %-9s %-8s\n", "scenario",
                   "correct", "degraded", "fault_attr", "silent", "churned",
                   "coverage", "epochs");
+      std::vector<eval::RunResult> all;
       for (const auto type : all_anomalies()) {
         eval::RunConfig cfg;
         cfg.scenario = type;
-        cfg.faults = churn_plan(period, reconverge ? holddown : 0);
-        ChurnStats st;
-        std::string name;
-        for (const eval::RunResult& r :
-             eval::run_sweep(eval::seed_sweep(cfg, n))) {
-          st.add(r);
-          mode_total[reconverge].add(r);
-          name = r.scenario_name;
-        }
-        std::printf("%-26s %-8d %-9d %-12d %-8d %-7d %-9.2f %-8.1f\n",
-                    name.c_str(), st.correct, st.degraded,
-                    st.fault_attributed, st.silent(), st.churned_runs,
-                    st.avg(st.coverage), st.avg(st.routing_epochs));
-        if (!first_point) json += ",\n";
-        first_point = false;
-        json += "    {\"flap_period_us\": " + std::to_string(period_us) +
-                ", \"mode\": \"" + mode + "\"" +  //
-                ", \"scenario\": \"" + name + "\"" +
-                ", \"correct\": " + std::to_string(st.correct) +
-                ", \"degraded\": " + std::to_string(st.degraded) +
-                ", \"fault_attributed\": " +
-                std::to_string(st.fault_attributed) +
-                ", \"misclassified\": " + std::to_string(st.misclassified) +
-                ", \"missed\": " + std::to_string(st.missed) +
-                ", \"runs\": " + std::to_string(st.runs) +
-                ", \"churned_runs\": " + std::to_string(st.churned_runs) +
-                ", \"avg_routing_epochs\": " +
-                std::to_string(st.avg(st.routing_epochs)) +
-                ", \"avg_link_down_drops\": " +
-                std::to_string(st.avg(st.link_down_drops)) +
-                ", \"avg_coverage\": " + std::to_string(st.avg(st.coverage)) +
-                ", \"avg_confidence\": " +
-                std::to_string(st.avg(st.confidence)) + "}";
+        cfg.faults = fault::FaultPlan::victim_flap_train(
+            period, reconverge ? holddown : 0);
+        const std::vector<eval::RunResult> runs =
+            eval::run_sweep(eval::seed_sweep(cfg, n));
+        const std::string& name = runs.back().scenario_name;
+        JsonObject row;
+        row.num("flap_period_us", period_us)
+            .str("mode", mode)
+            .str("scenario", name);
+        add_verdicts(row, print_row(name, runs))
+            .num("churned_runs", churned(runs))
+            .num("avg_routing_epochs",
+                 mean(runs, &eval::RunResult::routing_epochs))
+            .num("avg_link_down_drops",
+                 mean(runs, &eval::RunResult::link_down_drops))
+            .num("avg_coverage",
+                 mean(runs, &eval::RunResult::collection_coverage))
+            .num("avg_confidence", mean(runs, &eval::RunResult::confidence));
+        rows.push_back(row);
+        all.insert(all.end(), runs.begin(), runs.end());
       }
-      std::printf("%-26s %-8d %-9d %-12d %-8d %-7d %-9.2f %-8.1f\n", "TOTAL",
-                  mode_total[reconverge].correct,
-                  mode_total[reconverge].degraded,
-                  mode_total[reconverge].fault_attributed,
-                  mode_total[reconverge].silent(),
-                  mode_total[reconverge].churned_runs,
-                  mode_total[reconverge].avg(mode_total[reconverge].coverage),
-                  mode_total[reconverge].avg(
-                      mode_total[reconverge].routing_epochs));
+      mode_total[reconverge] = print_row("TOTAL", all);
       silent_total += mode_total[reconverge].silent();
     }
+    const auto accuracy = [](const eval::VerdictTally& t) {
+      return t.runs() == 0 ? 0 : static_cast<double>(t.correct) / t.runs();
+    };
     std::printf("\nflap period %g us: frozen accuracy %.3f, reconverge "
                 "accuracy %.3f\n",
-                period_us, mode_total[0].accuracy(), mode_total[1].accuracy());
+                period_us, accuracy(mode_total[0]), accuracy(mode_total[1]));
     if (mode_total[1].correct < mode_total[0].correct) {
       ordering_violated = true;
       std::printf("ORDERING VIOLATION at flap period %g us\n", period_us);
     }
   }
-  json += "\n  ]\n}\n";
 
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_pathchurn.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  int rc = 0;
-  if (silent_total > 0) {
-    std::printf("FAIL: %d silently-wrong verdict(s) under path churn\n",
-                silent_total);
-    rc = 1;
-  }
+  JsonObject doc;
+  doc.str("bench", "path_churn")
+      .num("seeds_per_point", n)
+      .num("holddown_us", holddown / 1000)
+      .rows("points", rows);
+  const bool wrote =
+      write_bench_json(bench_json_path("BENCH_pathchurn.json"), doc);
+  int rc = zero_silent_gate(silent_total);
   if (ordering_violated) {
     std::printf("FAIL: reconvergence-enabled accuracy fell below frozen "
                 "routing at some flap rate\n");
     rc = 1;
+  } else {
+    std::printf("OK: reconvergence never hurts accuracy\n");
   }
-  if (rc == 0) {
-    std::printf("OK: no silent misses; reconvergence never hurts accuracy\n");
-  }
-  return rc;
+  return wrote ? rc : 1;
 }

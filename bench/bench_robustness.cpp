@@ -3,109 +3,74 @@
 // The fault-injection substrate drops each polling packet (and causality
 // clone) with probability p at every switch; the self-healing pipeline
 // (re-poll with capped exponential backoff, coverage tracking) has to
-// recover. Each run is classified as
-//   correct       — true positive despite the faults
-//   degraded      — wrong/missing verdict, but explicitly flagged degraded
-//                   (the operator knows not to trust it)
-//   misclassified — wrong verdict presented with full confidence (the
-//                   failure mode the pipeline exists to prevent)
-//   missed        — no verdict and no degraded flag
-// Results go to BENCH_robustness.json (HAWKEYE_BENCH_JSON overrides) as the
-// accuracy-degradation curve tracked across PRs.
+// recover. Each run is classified by the shared verdict ledger
+// (eval::VerdictTally): correct, degraded (wrong/missing but flagged — the
+// operator knows not to trust it), or silently wrong (misclassified at
+// full confidence, or missed without a flag). Polling loss is not a
+// data-plane fault, so fault_attributed stays 0 here.
+//
+// The acceptance bar (exit code 1 on violation): NO silently-wrong
+// verdicts at any drop rate. Results go to BENCH_robustness.json
+// (HAWKEYE_BENCH_JSON overrides) as the accuracy-degradation curve tracked
+// across PRs.
 #include "bench_common.hpp"
 
 using namespace hawkeye;
 using namespace hawkeye::bench;
-
-namespace {
-
-struct RobustStats {
-  int correct = 0, degraded = 0, misclassified = 0, missed = 0;
-  int runs = 0;
-  double coverage = 0, confidence = 0, repolls = 0, polling_drops = 0;
-
-  void add(const eval::RunResult& r) {
-    ++runs;
-    coverage += r.collection_coverage;
-    confidence += r.confidence;
-    repolls += static_cast<double>(r.repolls);
-    polling_drops += static_cast<double>(r.polling_drops);
-    if (r.tp) {
-      ++correct;
-    } else if (r.degraded) {
-      ++degraded;
-    } else if (r.fp) {
-      ++misclassified;
-    } else {
-      ++missed;
-    }
-  }
-  double avg(double sum) const { return runs == 0 ? 0 : sum / runs; }
-};
-
-}  // namespace
 
 int main() {
   print_header("Robustness", "diagnosis accuracy vs polling-loss rate");
   const int n = seeds_per_point();
   const double rates[] = {0.0, 0.05, 0.10, 0.20, 0.30};
 
-  std::string json = "{\n  \"bench\": \"robustness\",\n  \"seeds_per_point\": " +
-                     std::to_string(n) + ",\n  \"points\": [\n";
-  bool first_point = true;
+  // One table row: the cell's (or the rate's TOTAL) verdicts and averages.
+  const auto print_row = [](const std::string& name,
+                            const std::vector<eval::RunResult>& runs) {
+    const eval::VerdictTally v = tally(runs);
+    std::printf("%-26s %-8d %-9d %-14d %-7d %-9.2f %-11.2f %-8.2f\n",
+                name.c_str(), v.correct, v.degraded, v.misclassified, v.missed,
+                mean(runs, &eval::RunResult::collection_coverage),
+                mean(runs, &eval::RunResult::confidence),
+                mean(runs, &eval::RunResult::repolls));
+    return v;
+  };
 
+  std::vector<JsonObject> rows;
+  int silent = 0;
   for (const double rate : rates) {
     std::printf("\n--- polling drop rate %.0f%% ---\n", rate * 100);
     std::printf("%-26s %-8s %-9s %-14s %-7s %-9s %-11s %-8s\n", "scenario",
                 "correct", "degraded", "misclassified", "missed", "coverage",
                 "confidence", "repolls");
-    RobustStats total;
+    std::vector<eval::RunResult> all;
     for (const auto type : all_anomalies()) {
       eval::RunConfig cfg;
       cfg.scenario = type;
       if (rate > 0) {
         cfg.faults = fault::FaultPlan::uniform_poll_loss(rate, 1);
       }
-      RobustStats st;
-      std::string name;
-      for (const eval::RunResult& r :
-           eval::run_sweep(eval::seed_sweep(cfg, n))) {
-        st.add(r);
-        total.add(r);
-        name = r.scenario_name;
-      }
-      std::printf("%-26s %-8d %-9d %-14d %-7d %-9.2f %-11.2f %-8.2f\n",
-                  name.c_str(), st.correct, st.degraded, st.misclassified,
-                  st.missed, st.avg(st.coverage), st.avg(st.confidence),
-                  st.avg(st.repolls));
-      if (!first_point) json += ",\n";
-      first_point = false;
-      json += "    {\"drop_rate\": " + std::to_string(rate) +
-              ", \"scenario\": \"" + name + "\"" +
-              ", \"correct\": " + std::to_string(st.correct) +
-              ", \"degraded\": " + std::to_string(st.degraded) +
-              ", \"misclassified\": " + std::to_string(st.misclassified) +
-              ", \"missed\": " + std::to_string(st.missed) +
-              ", \"runs\": " + std::to_string(st.runs) +
-              ", \"avg_coverage\": " + std::to_string(st.avg(st.coverage)) +
-              ", \"avg_confidence\": " + std::to_string(st.avg(st.confidence)) +
-              ", \"avg_repolls\": " + std::to_string(st.avg(st.repolls)) +
-              ", \"avg_polling_drops\": " +
-              std::to_string(st.avg(st.polling_drops)) + "}";
+      const std::vector<eval::RunResult> runs =
+          eval::run_sweep(eval::seed_sweep(cfg, n));
+      const std::string& name = runs.back().scenario_name;
+      JsonObject row;
+      row.num("drop_rate", rate).str("scenario", name);
+      add_verdicts(row, print_row(name, runs))
+          .num("avg_coverage",
+               mean(runs, &eval::RunResult::collection_coverage))
+          .num("avg_confidence", mean(runs, &eval::RunResult::confidence))
+          .num("avg_repolls", mean(runs, &eval::RunResult::repolls))
+          .num("avg_polling_drops",
+               mean(runs, &eval::RunResult::polling_drops));
+      rows.push_back(row);
+      all.insert(all.end(), runs.begin(), runs.end());
     }
-    std::printf("%-26s %-8d %-9d %-14d %-7d %-9.2f %-11.2f %-8.2f\n", "TOTAL",
-                total.correct, total.degraded, total.misclassified,
-                total.missed, total.avg(total.coverage),
-                total.avg(total.confidence), total.avg(total.repolls));
+    silent += print_row("TOTAL", all).silent();
   }
-  json += "\n  ]\n}\n";
 
-  const char* path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string out = path != nullptr ? path : "BENCH_robustness.json";
-  if (FILE* f = std::fopen(out.c_str(), "w")) {
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
-  return 0;
+  JsonObject doc;
+  doc.str("bench", "robustness").num("seeds_per_point", n).rows("points", rows);
+  const bool wrote = write_bench_json(bench_json_path("BENCH_robustness.json"),
+                                      doc);
+  const int rc = zero_silent_gate(silent);
+  return wrote ? rc : 1;
 }

@@ -258,9 +258,7 @@ int main(int argc, char** argv) {
 
   // Append the whole table under a "scalability" key next to the
   // google-benchmark rows bench_micro_hotpath writes.
-  const char* env_path = std::getenv("HAWKEYE_BENCH_JSON");
-  const std::string path =
-      env_path != nullptr ? env_path : "BENCH_hotpath.json";
+  const std::string path = bench_json_path("BENCH_hotpath.json");
   std::string payload = "{\n    \"host_cpus\": " + std::to_string(host_cpus);
   payload += ",\n    \"cells\": [";
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -268,14 +266,11 @@ int main(int argc, char** argv) {
     payload += json_cell(cells[i], base_wall(cells[i].k, cells[i].anomaly));
   }
   payload += "\n    ]\n  }";
-  if (merge_json_key(path, "scalability", payload)) {
-    std::printf("\nwrote \"scalability\" into %s\n", path.c_str());
-  } else {
-    std::fprintf(stderr, "\nfailed to update %s\n", path.c_str());
-  }
+  const bool wrote = merge_json_key(path, "scalability", payload);
+  if (wrote) std::printf("\nwrote \"scalability\" into %s\n", path.c_str());
 
   std::printf("\nExpected: collected-switch counts stay near the causal set\n"
               "size (victim path + loop) at every scale; accuracy holds;\n"
               "sharded cells match 1-shard output bitwise (identity suite).\n");
-  return 0;
+  return wrote ? 0 : 1;
 }

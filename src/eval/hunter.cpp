@@ -392,8 +392,9 @@ HuntVerdictClass classify_verdict(const RunResult& r, double tau) {
   }
   if (r.tp) return HuntVerdictClass::kCorrect;
   if (r.fn) {
-    // The robustness benches attribute a miss to injected substrate damage
-    // when collection was degraded or a data-plane fault fired.
+    // A miss is excused when collection was degraded or any data-plane
+    // fault fired. The benches' eval::VerdictTally is stricter: there a
+    // data-plane fault excuses a miss only if it fired on the victim's path.
     return (r.degraded || r.dataplane_fault_fired)
                ? HuntVerdictClass::kExcused
                : HuntVerdictClass::kMissedTrigger;

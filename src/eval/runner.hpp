@@ -190,6 +190,46 @@ struct PrecisionRecall {
   }
 };
 
+/// Verdict ledger of the gated accuracy benches (robustness, data-plane,
+/// path churn, fleet faults). Each run lands in exactly one bucket, first
+/// match wins:
+///   correct          — tp;
+///   degraded         — wrong or missing verdict, flagged degraded;
+///   fault_attributed — wrong or missing verdict while an injected
+///                      data-plane fault fired ON the victim's path;
+///   misclassified    — wrong verdict, nothing to blame;
+///   missed           — no verdict, nothing to blame.
+/// The benches fail on any silent() run — except the fleet bench, which
+/// fails on any unflagged() run: its injected defect (a CRC-erroring,
+/// rate-limited or drain-bound component) is itself the data-plane fault
+/// on the victim's path, so attribution there would excuse the very fault
+/// the verdict has to name. The misdiagnosis hunter's classify_verdict is
+/// a separate rule (DESIGN.md §10 lists how it differs).
+struct VerdictTally {
+  int correct = 0, degraded = 0, fault_attributed = 0;
+  int misclassified = 0, missed = 0;
+  void add(const RunResult& r) {
+    if (r.tp) {
+      ++correct;
+    } else if (r.degraded) {
+      ++degraded;
+    } else if (r.dataplane_fault_fired && r.fault_on_victim_path) {
+      ++fault_attributed;
+    } else if (r.fp) {
+      ++misclassified;
+    } else {
+      ++missed;
+    }
+  }
+  int runs() const {
+    return correct + degraded + fault_attributed + misclassified + missed;
+  }
+  /// Silently-wrong verdicts: wrong or missing with nothing flagged.
+  int silent() const { return misclassified + missed; }
+  /// Wrong or missing verdicts not flagged degraded, attributed or not.
+  int unflagged() const { return fault_attributed + silent(); }
+};
+
 /// Accuracy-vs-confidence-threshold curve accumulator. Feed every run's
 /// (confidence, correct) pair; points() sweeps the assertion threshold τ
 /// over equal-width buckets and reports, per τ, how many runs would still

@@ -91,6 +91,18 @@ FaultPlan FaultPlan::uniform_pfc_loss(double loss_prob, std::uint64_t seed) {
   return plan;
 }
 
+FaultPlan FaultPlan::victim_flap_train(sim::Time period, sim::Time holddown) {
+  FaultPlan plan;
+  LinkFlapSpec flap;
+  flap.start = sim::us(100);
+  flap.down_ns = sim::us(100);
+  flap.period_ns = period;
+  flap.jitter = 0.5;
+  flap.holddown_ns = holddown;
+  plan.link_flaps.push_back(flap);
+  return plan;
+}
+
 std::string FaultPlan::validate() const {
   for (const PollFaultSpec& s : poll_faults) {
     if (!window_ok(s.start, s.stop)) return "poll fault: empty/inverted window";

@@ -270,6 +270,14 @@ struct FaultPlan {
   /// Convenience: uniform PFC pause/resume loss on every port (the
   /// data-plane robustness sweep's primary axis).
   static FaultPlan uniform_pfc_loss(double loss_prob, std::uint64_t seed);
+
+  /// Convenience: a link-flap train on the victim's path — one 100 us
+  /// outage per `period` from 100 us on, jitter 0.5, left unbound so the
+  /// runner pins it to the crafted victim's route. `holddown` > 0 turns on
+  /// routing reconvergence (LinkFlapSpec::holddown_ns). The flap axis of
+  /// the data-plane, path-churn and fig8 benches and of the confidence
+  /// calibration.
+  static FaultPlan victim_flap_train(sim::Time period, sim::Time holddown = 0);
 };
 
 enum class PollAction : std::uint8_t { kDeliver, kDrop, kDuplicate, kDelay };

@@ -150,22 +150,17 @@ void Simulator::defer_control(Action fn) {
       DefCtl{c->lidx, c->child++, std::move(fn)});
 }
 
-bool Simulator::step() {
-  if (sharded()) return step_sharded();
-  if (!calendar_.prepare_head()) return false;
-  EventCalendar::Event ev = calendar_.pop_head();
-  now_ = ev.at;
-  ev.fn();
-  ++executed_;
-  return true;
-}
-
 void Simulator::run_until(Time until) {
-  if (!sharded()) {
-    while (calendar_.prepare_head() && calendar_.head().at <= until) step();
+  if (sharded()) {
+    run_until_sharded(until);
     return;
   }
-  run_until_sharded(until);
+  while (calendar_.prepare_head() && calendar_.head().at <= until) {
+    EventCalendar::Event ev = calendar_.pop_head();
+    now_ = ev.at;
+    ev.fn();
+    ++executed_;
+  }
 }
 
 std::size_t Simulator::pending() const {
@@ -185,13 +180,6 @@ std::vector<std::uint64_t> Simulator::per_shard_executed() const {
   std::vector<std::uint64_t> out;
   out.reserve(shards_.size());
   for (const auto& sh : shards_) out.push_back(sh->executed);
-  return out;
-}
-
-std::vector<double> Simulator::per_shard_busy() const {
-  std::vector<double> out;
-  out.reserve(shards_.size());
-  for (const auto& sh : shards_) out.push_back(sh->busy);
   return out;
 }
 
@@ -286,38 +274,6 @@ void Simulator::run_sequential_window(Time cap) {
   run_round_hooks();
 }
 
-bool Simulator::step_sharded() {
-  const int n = shard_count();
-  int best = -1;
-  Time bat = 0;
-  std::uint64_t bseq = 0;
-  for (int s = 0; s < n; ++s) {
-    Shard& sh = *shards_[static_cast<std::size_t>(s)];
-    if (!sh.cal.prepare_head()) continue;
-    const EventCalendar::Event& h = sh.cal.head();
-    if (best < 0 || h.at < bat || (h.at == bat && h.seq < bseq)) {
-      best = s;
-      bat = h.at;
-      bseq = h.seq;
-    }
-  }
-  if (best < 0) return false;
-  Shard& sh = *shards_[static_cast<std::size_t>(best)];
-  EventCalendar::Event ev = sh.cal.pop_head();
-  sh.now = ev.at;
-  if (ev.at > now_) now_ = ev.at;
-  ExecCtx ctx;
-  ctx.parallel = false;
-  ctx.shard = best;
-  ctx.parent = next_rank_++;
-  tls_ctx_ = &ctx;
-  ev.fn();
-  tls_ctx_ = nullptr;
-  ++sh.executed;
-  run_round_hooks();
-  return true;
-}
-
 void Simulator::ensure_pool() {
   if (pool_ != nullptr) return;
   pool_ = std::make_unique<Pool>();
@@ -388,7 +344,6 @@ void Simulator::drain_shard(int s, Time cap) {
   sh.round_busy =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  sh.busy += sh.round_busy;
   tls_ctx_ = nullptr;
 }
 

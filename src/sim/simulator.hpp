@@ -148,11 +148,6 @@ class Simulator {
 
   // ---- Execution ----
 
-  /// Run one event (globally earliest, in canonical order); returns false
-  /// if all calendars are empty. In sharded mode this is the sequential
-  /// path: correct for any event, with exclusive state access.
-  bool step();
-
   /// Run until the calendars drain or `until` is passed (events scheduled
   /// beyond `until` remain queued and `now()` stops at the last executed
   /// event's time). An event at exactly `until` still fires.
@@ -193,8 +188,6 @@ class Simulator {
   /// Events executed per shard (device shards then control); empty when
   /// unsharded. Exposes partition balance to the benches.
   std::vector<std::uint64_t> per_shard_executed() const;
-  /// Summed drain seconds per shard (parallel rounds only).
-  std::vector<double> per_shard_busy() const;
 
  private:
   // ---- Sharded-mode internals ----
@@ -227,7 +220,6 @@ class Simulator {
     EventCalendar cal;
     Time now = 0;
     std::uint64_t executed = 0;
-    double busy = 0;  // drain time, summed over rounds
     double round_busy = 0;  // this round's drain time
     std::vector<Rec> recs;               // this round's executed events
     /// Deferred schedules, bucketed by destination calendar so the barrier
@@ -256,7 +248,6 @@ class Simulator {
   void flush_target(int t);
   void round_barrier();
   void run_round_hooks();
-  bool step_sharded();
   void ensure_pool();
 
   /// Inline with its constant initializer so every translation unit reads

@@ -432,6 +432,28 @@ TEST(FaultPlanTest, ValidateRejectsBadSpecs) {
   ok.link_flaps.push_back(flap);
   ok.pfc_faults.push_back({});
   EXPECT_EQ(ok.validate(), "");
+
+  // The victim flap-train factory: one unbound placeholder spec with the
+  // benches' fixed shape, accepted as built.
+  const fault::FaultPlan train =
+      fault::FaultPlan::victim_flap_train(sim::us(250), sim::us(50));
+  ASSERT_EQ(train.link_flaps.size(), 1u);
+  const fault::LinkFlapSpec& f = train.link_flaps[0];
+  EXPECT_EQ(f.node_a, net::kInvalidNode);
+  EXPECT_EQ(f.node_b, net::kInvalidNode);
+  EXPECT_EQ(f.start, sim::us(100));
+  EXPECT_EQ(f.stop, -1);
+  EXPECT_EQ(f.down_ns, sim::us(100));
+  EXPECT_EQ(f.period_ns, sim::us(250));
+  EXPECT_EQ(f.jitter, 0.5);
+  EXPECT_EQ(f.holddown_ns, sim::us(50));
+  EXPECT_TRUE(train.dataplane_enabled());
+  EXPECT_EQ(train.validate(), "");
+  EXPECT_EQ(fault::FaultPlan::victim_flap_train(sim::us(500))
+                .link_flaps[0]
+                .holddown_ns,
+            0)
+      << "hold-down defaults to frozen routing";
 }
 
 TEST(FaultPlanTest, ValidateRejectsOverlappingWindowsSameSite) {
@@ -1071,12 +1093,7 @@ TEST(FaultAttributionTest, VictimPathFlapIsAttributed) {
   eval::RunConfig cfg;
   cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
   cfg.seed = 1;
-  fault::LinkFlapSpec flap;  // unbound => runner binds to victim path
-  flap.start = sim::us(100);
-  flap.down_ns = sim::us(100);
-  flap.period_ns = sim::us(400);
-  flap.jitter = 0.5;
-  cfg.faults.link_flaps.push_back(flap);
+  cfg.faults = fault::FaultPlan::victim_flap_train(sim::us(400));
   cfg.faults.seed = 5;
   const eval::RunResult r = eval::run_one(cfg);
   ASSERT_TRUE(r.dataplane_fault_fired);

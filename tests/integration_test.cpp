@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "../bench/bench_common.hpp"
 #include "baselines/local_contention.hpp"
 #include "eval/runner.hpp"
 
@@ -144,6 +145,81 @@ TEST(PrecisionRecallTest, AccumulatorMath) {
   pr.add(fn);
   EXPECT_DOUBLE_EQ(pr.precision(), 2.0 / 3.0);
   EXPECT_DOUBLE_EQ(pr.recall(), 2.0 / 3.0);
+}
+
+TEST(VerdictTallyTest, BucketPrecedence) {
+  const auto bucket = [](const RunResult& r) {
+    VerdictTally t;
+    t.add(r);
+    EXPECT_EQ(t.runs(), 1);
+    if (t.correct) return "correct";
+    if (t.degraded) return "degraded";
+    if (t.fault_attributed) return "fault_attributed";
+    if (t.misclassified) return "misclassified";
+    return "missed";
+  };
+  RunResult r;
+  EXPECT_STREQ(bucket(r), "missed");
+  r.fp = true;
+  EXPECT_STREQ(bucket(r), "misclassified");
+
+  // Attribution needs the fault to have fired AND to sit on the victim path.
+  r.dataplane_fault_fired = true;
+  EXPECT_STREQ(bucket(r), "misclassified") << "off-path fault excuses nothing";
+  r.dataplane_fault_fired = false;
+  r.fault_on_victim_path = true;
+  EXPECT_STREQ(bucket(r), "misclassified") << "on-path but never fired";
+  r.dataplane_fault_fired = true;
+  EXPECT_STREQ(bucket(r), "fault_attributed");
+  r.fp = false;
+  EXPECT_STREQ(bucket(r), "fault_attributed") << "attributed miss";
+
+  r.degraded = true;
+  EXPECT_STREQ(bucket(r), "degraded") << "degraded beats attribution";
+  r.tp = true;
+  EXPECT_STREQ(bucket(r), "correct") << "tp beats degraded";
+}
+
+TEST(VerdictTallyTest, SilentCountsMisclassifiedAndMissed) {
+  VerdictTally t;
+  RunResult correct, degraded, attributed, wrong, missed;
+  correct.tp = true;
+  degraded.degraded = true;
+  attributed.fn = true;
+  attributed.dataplane_fault_fired = true;
+  attributed.fault_on_victim_path = true;
+  wrong.fp = true;
+  missed.fn = true;
+  for (const RunResult* r :
+       {&correct, &degraded, &attributed, &wrong, &wrong, &missed}) {
+    t.add(*r);
+  }
+  EXPECT_EQ(t.correct, 1);
+  EXPECT_EQ(t.degraded, 1);
+  EXPECT_EQ(t.fault_attributed, 1);
+  EXPECT_EQ(t.misclassified, 2);
+  EXPECT_EQ(t.missed, 1);
+  EXPECT_EQ(t.runs(), 6);
+  EXPECT_EQ(t.silent(), 3);
+  EXPECT_EQ(t.unflagged(), 4);
+}
+
+TEST(VerdictTallyTest, FleetGateDoesNotExcuseAttributedRuns) {
+  // A fleet class's own defect (CRC drops / rate limiting on the victim's
+  // route) sets both attribution flags, so a confidently wrong fleet
+  // verdict lands in fault_attributed. The fleet bench gates on
+  // unflagged(), which still counts it; silent() alone would pass it.
+  RunResult wrong;
+  wrong.fp = true;
+  wrong.dataplane_fault_fired = true;
+  wrong.fault_on_victim_path = true;
+  VerdictTally t;
+  t.add(wrong);
+  EXPECT_EQ(t.fault_attributed, 1);
+  EXPECT_EQ(t.silent(), 0);
+  EXPECT_EQ(t.unflagged(), 1);
+  EXPECT_EQ(bench::zero_silent_gate(t.unflagged()), 1);
+  EXPECT_EQ(bench::zero_silent_gate(t.silent()), 0);
 }
 
 }  // namespace

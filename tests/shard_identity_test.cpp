@@ -82,16 +82,9 @@ RunConfig cell_config(AnomalyType scenario, std::uint64_t seed, Family fam) {
       // The bench_path_churn regime: a victim-path flap train with a
       // hold-down, so routing withdraws/restores ports mid-run and the
       // stalled-FIFO flush crosses shard boundaries.
-      fault::LinkFlapSpec flap;  // unbound: runner pins it to the victim path
-      flap.start = sim::us(100);
-      flap.down_ns = sim::us(100);
-      flap.period_ns = sim::us(500);
-      flap.jitter = 0.5;
-      flap.holddown_ns = sim::us(50);
-      fault::FaultPlan plan;
-      plan.seed = seed;
-      plan.link_flaps.push_back(flap);
-      cfg.faults = plan;
+      cfg.faults =
+          fault::FaultPlan::victim_flap_train(sim::us(500), sim::us(50));
+      cfg.faults.seed = seed;
       break;
     }
   }

@@ -90,14 +90,7 @@ int main(int argc, char** argv) {
     plans.push_back(fault::FaultPlan::uniform_pfc_loss(rate, 1));
   }
   for (const sim::Time period : {sim::us(500), sim::us(250)}) {
-    fault::FaultPlan plan;
-    fault::LinkFlapSpec flap;  // runner binds it to the victim path
-    flap.start = sim::us(100);
-    flap.down_ns = sim::us(100);
-    flap.period_ns = period;
-    flap.jitter = 0.5;
-    plan.link_flaps.push_back(flap);
-    plans.push_back(plan);
+    plans.push_back(fault::FaultPlan::victim_flap_train(period));
   }
 
   std::vector<Sample> samples;

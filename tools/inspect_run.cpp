@@ -4,7 +4,14 @@
 using namespace hawkeye;
 int main(int argc, char** argv) {
   eval::RunConfig cfg;
-  cfg.scenario = (diagnosis::AnomalyType)(argc > 1 ? atoi(argv[1]) : 1);
+  cfg.scenario = diagnosis::AnomalyType::kMicroBurstIncast;
+  if (argc > 1 && !diagnosis::parse_anomaly_type(argv[1], cfg.scenario)) {
+    std::fprintf(stderr,
+                 "usage: %s [scenario 0-10] [seed] [epoch_shift] [threshold] "
+                 "[bg_load] [fleet_workload] [fleet_severity] [k]\n",
+                 argv[0]);
+    return 2;
+  }
   cfg.seed = argc > 2 ? strtoull(argv[2], nullptr, 10) : 1;
   if (argc > 3) cfg.epoch_shift = atoi(argv[3]);
   if (argc > 4) cfg.threshold_factor = atof(argv[4]);

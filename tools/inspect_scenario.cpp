@@ -7,14 +7,19 @@
 using namespace hawkeye;
 
 int main(int argc, char** argv) {
-  int type_i = argc > 1 ? atoi(argv[1]) : 3;
+  diagnosis::AnomalyType type = diagnosis::AnomalyType::kInLoopDeadlock;
+  if (argc > 1 && !diagnosis::parse_anomaly_type(argv[1], type)) {
+    std::fprintf(stderr, "usage: %s [scenario 0-10] [seed] [bg_load]\n",
+                 argv[0]);
+    return 2;
+  }
   std::uint64_t seed = argc > 2 ? strtoull(argv[2], nullptr, 10) : 1;
   sim::Rng rng(seed);
   workload::ScenarioSpec spec;
   {
     const net::FatTree probe = net::build_fat_tree(4);
     const net::Routing pr(probe.topo);
-    spec = workload::make_scenario((diagnosis::AnomalyType)type_i, probe, pr, rng);
+    spec = workload::make_scenario(type, probe, pr, rng);
   }
   std::printf("scenario %s anomaly@%.0fus victim=%s\n", spec.name.c_str(),
               spec.anomaly_start/1e3, spec.victim.to_string().c_str());
