@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdlib>
 #include <string_view>
 
 namespace hawkeye::diagnosis {
@@ -83,20 +82,6 @@ constexpr bool is_fleet_fault(AnomalyType t) {
          t == AnomalyType::kLinkSpeedMismatch ||
          t == AnomalyType::kHostPcieBottleneck ||
          t == AnomalyType::kOversubscribedDownlink;
-}
-
-/// Parse an AnomalyType given as its integer value (the inspect tools'
-/// scenario argument). False for anything but a whole number from kNone to
-/// the last enumerator, kOversubscribedDownlink.
-inline bool parse_anomaly_type(const char* s, AnomalyType& out) {
-  char* end = nullptr;
-  const long v = std::strtol(s, &end, 10);
-  if (end == s || *end != '\0' || v < 0 ||
-      v > static_cast<long>(AnomalyType::kOversubscribedDownlink)) {
-    return false;
-  }
-  out = static_cast<AnomalyType>(v);
-  return true;
 }
 
 constexpr bool is_pfc_related(AnomalyType t) {

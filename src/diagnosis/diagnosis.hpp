@@ -180,7 +180,7 @@ DiagnosisResult refine_fleet_verdict(DiagnosisResult dx,
 
 /// Per-fault-class multiplicative discounts applied by
 /// collection_confidence. The defaults are calibrated against the
-/// robustness sweeps (tools/calibrate_confidence: poll-loss grid from
+/// robustness sweeps (`hawkeye calibrate`: poll-loss grid from
 /// bench_robustness plus the PFC-loss/link-flap axes from
 /// bench_dataplane_robustness): among the triples that maximize the AUC of
 /// confidence as a correct-verdict ranker, the one with the lowest Brier

@@ -529,9 +529,10 @@ HuntReport run_hunt_campaign(const HuntOptions& opts) {
   return rep;
 }
 
-ReplayOutcome replay_case(const HuntCase& c, double tau) {
+ReplayOutcome replay_case(const HuntCase& c, double tau,
+                          const std::function<void(Testbed&)>& after_sim) {
   ReplayOutcome out;
-  out.result = run_one(c.cfg);
+  out.result = run_one(c.cfg, after_sim);
   out.observed = classify_verdict(out.result, tau);
   out.matches_expected =
       to_string(out.observed) == c.expected_class &&

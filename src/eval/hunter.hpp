@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,10 @@ struct ReplayOutcome {
   bool matches_expected = false;
   std::string detail;  ///< One line: observed vs expected.
 };
-ReplayOutcome replay_case(const HuntCase& c, double tau = 0.9);
+/// `after_sim` is handed to run_one (the CLI's `--explain` dumps the
+/// simulated testbed through it).
+ReplayOutcome replay_case(
+    const HuntCase& c, double tau = 0.9,
+    const std::function<void(Testbed&)>& after_sim = {});
 
 }  // namespace hawkeye::eval

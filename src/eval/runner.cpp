@@ -26,6 +26,34 @@ std::string_view to_string(Method m) {
   return "?";
 }
 
+std::string validate(const RunConfig& cfg) {
+  const int k = cfg.fat_tree_k;
+  if (k < 4 || k > 16 || k % 2 != 0) {
+    return "fat_tree_k=" + std::to_string(k) + ": want even, in [4, 16]";
+  }
+  if (cfg.shards < 1 || cfg.shards > 2 * k) {
+    return "shards=" + std::to_string(cfg.shards) + ": want [1, " +
+           std::to_string(2 * k) + "] (2*fat_tree_k)";
+  }
+  if (cfg.epoch_shift < 10 || cfg.epoch_shift > 30) {
+    return "epoch_shift=" + std::to_string(cfg.epoch_shift) +
+           ": want [10, 30]";
+  }
+  if (cfg.epoch_index_bits < 1 || cfg.epoch_index_bits > 8) {
+    return "epoch_index_bits=" + std::to_string(cfg.epoch_index_bits) +
+           ": want [1, 8]";
+  }
+  if (!(cfg.background_load >= 0 && cfg.background_load <= 1)) {
+    return "background_load=" + std::to_string(cfg.background_load) +
+           ": want [0, 1]";
+  }
+  if (!(cfg.threshold_factor > 0) || std::isinf(cfg.threshold_factor)) {
+    return "threshold_factor=" + std::to_string(cfg.threshold_factor) +
+           ": want finite, > 0";
+  }
+  return "";
+}
+
 namespace {
 
 /// Root-cause attribution check. `acceptable` contains the crafted

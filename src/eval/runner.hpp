@@ -78,6 +78,19 @@ struct RunConfig {
   workload::ScenarioOverlay overlay;
 };
 
+/// Empty if `cfg`'s run scalars are in range, otherwise a description of
+/// the first offending key (same idiom as fault::FaultPlan::validate()).
+/// Checked where a config enters from outside — scenario_io::parse_case
+/// and the `hawkeye` CLI — so bad input fails with a message instead of an
+/// abort deep in fabric or calendar construction. Bounds:
+///   fat_tree_k        even, in [4, 16];
+///   shards            in [1, 2*fat_tree_k];
+///   epoch_shift       in [10, 30] (1 us .. 1 s epochs);
+///   epoch_index_bits  in [1, 8] (a ring of 2 .. 256 epochs);
+///   background_load   in [0, 1];
+///   threshold_factor  finite and > 0.
+std::string validate(const RunConfig& cfg);
+
 struct RunResult {
   std::string scenario_name;
   diagnosis::AnomalyType truth_type = diagnosis::AnomalyType::kNone;

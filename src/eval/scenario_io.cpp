@@ -511,6 +511,12 @@ HuntCase parse_case(const std::string& text) {
     const std::string err = c.cfg.overlay.validate();
     if (!err.empty()) fail(err, "invalid overlay");
   }
+  {
+    const std::string err = validate(c.cfg);
+    if (!err.empty()) {
+      throw std::invalid_argument("scenario_io: invalid run config: " + err);
+    }
+  }
   return c;
 }
 

@@ -6,9 +6,9 @@
 
 namespace hawkeye::eval {
 
-/// Versioned, canonical text serialization of a hunted run configuration —
-/// the replayable-counterexample format of tools/hunt_misdiagnosis
-/// (DESIGN.md §15). One `key=value` line per field in a fixed order,
+/// Versioned, canonical text serialization of a run configuration — the
+/// input format of every `hawkeye run` case and the replayable-counterexample
+/// format of `hawkeye hunt` (tools/hawkeye.cpp, DESIGN.md §15). One `key=value` line per field in a fixed order,
 /// doubles printed with %.17g (round-trip exact, the golden-suite
 /// convention), so `serialize(parse(serialize(x)))` is byte-identical to
 /// `serialize(x)` and string equality of two serializations is value
@@ -54,8 +54,8 @@ std::string serialize_case(const HuntCase& c);
 /// Parse a serialized case. Throws std::invalid_argument with the
 /// offending line on any structural problem: bad magic/version, malformed
 /// or unknown key, unparsable value, or an invalid resulting FaultPlan /
-/// overlay (validate() is consulted so a corrupted fixture cannot reach
-/// the injector).
+/// overlay / run scalar (each validate() is consulted so a corrupted
+/// fixture cannot reach the injector or the fabric builder).
 HuntCase parse_case(const std::string& text);
 
 /// Stable content fingerprint of a case (FNV-1a over the serialization) —

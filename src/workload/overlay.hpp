@@ -10,7 +10,7 @@
 namespace hawkeye::workload {
 
 /// Deterministic post-crafting mutations of a ScenarioSpec — the workload
-/// half of the misdiagnosis hunter's search space (tools/hunt_misdiagnosis,
+/// half of the misdiagnosis hunter's search space (`hawkeye hunt`,
 /// DESIGN.md §15). A scenario factory crafts the anomaly from (type, seed);
 /// the overlay then perturbs the crafted trace *without touching the RNG
 /// stream*: every knob is an explicit value, so (RunConfig, overlay) is a

@@ -66,18 +66,6 @@ struct SignatureFixture {
   }
 };
 
-TEST(AnomalyTypeTest, ParseAcceptsOnlyTheEnumRange) {
-  AnomalyType t = AnomalyType::kPfcStorm;
-  EXPECT_TRUE(parse_anomaly_type("0", t));
-  EXPECT_EQ(t, AnomalyType::kNone);
-  EXPECT_TRUE(parse_anomaly_type("10", t));
-  EXPECT_EQ(t, AnomalyType::kOversubscribedDownlink);
-  for (const char* bad : {"11", "99", "-1", "", "3x", "abc"}) {
-    EXPECT_FALSE(parse_anomaly_type(bad, t)) << '"' << bad << '"';
-    EXPECT_EQ(t, AnomalyType::kOversubscribedDownlink) << "left untouched";
-  }
-}
-
 TEST(SignatureTest, NormalFlowContention) {
   SignatureFixture fx;
   // No port-level edges; contention on a victim-path port.

@@ -204,6 +204,30 @@ TEST(ScenarioIoTest, ParseRejectsDrift) {
   EXPECT_EQ(serialize_case(c), good);
 }
 
+// Out-of-range run scalars fail at parse time with the offending key named,
+// instead of aborting in fabric construction (odd k) or building thousands
+// of calendars and pool threads (huge shards) — these cases are never run.
+TEST(ScenarioIo, RejectsOutOfRangeRunScalars) {
+  const std::string good = serialize_case(HuntCase{});
+  const std::pair<std::string, std::string> bad[] = {
+      {"fat_tree_k", "5"},       {"fat_tree_k", "18"},
+      {"shards", "0"},           {"shards", "5000"},
+      {"epoch_shift", "64"},     {"epoch_index_bits", "40"},
+      {"background_load", "1.5"}, {"threshold_factor", "0"},
+  };
+  for (const auto& [key, val] : bad) {
+    try {
+      parse_case(good + key + "=" + val + "\n");
+      ADD_FAILURE() << key << "=" << val << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+          << key << "=" << val << ": " << e.what();
+    }
+  }
+  // The bounds admit the widest committed layout: 8 shards at k=4.
+  EXPECT_NO_THROW(parse_case(good + "shards=8\n"));
+}
+
 TEST(ScenarioIoTest, FingerprintTracksContent) {
   HuntCase a = full_case();
   HuntCase b = full_case();
