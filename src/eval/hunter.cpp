@@ -248,16 +248,17 @@ class Shrinker {
   }
 
   void shrink_fault_lists() {
-    const auto clear_each = [&](auto member) {
-      try_set([&](RunConfig& c) { (c.faults.*member).clear(); });
-    };
-    clear_each(&fault::FaultPlan::poll_faults);
-    clear_each(&fault::FaultPlan::dma_faults);
-    clear_each(&fault::FaultPlan::blackouts);
-    clear_each(&fault::FaultPlan::link_flaps);
-    clear_each(&fault::FaultPlan::pfc_faults);
-    try_set([](RunConfig& c) { c.faults.rtt_jitter = {}; });
-    clear_each(&fault::FaultPlan::degraded_links);
+    // Reset one family at a time, in family order. An empty family leaves
+    // the serialization unchanged, so it costs no eval.
+    fault::FaultPlan::visit_families(
+        fault::FaultPlan{}, [&](const fault::FaultFamily& fam, const auto&) {
+          try_set([&fam](RunConfig& c) {
+            fault::FaultPlan::visit_families(
+                c.faults, [&fam](const fault::FaultFamily& f, auto& specs) {
+                  if (f.key == fam.key) specs = {};
+                });
+          });
+        });
   }
 
   void shrink_overlay_scalars() {

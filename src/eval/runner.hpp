@@ -76,6 +76,26 @@ struct RunConfig {
   /// axes — DESIGN.md §15). Disabled by default: apply_overlay is never
   /// called and the crafted trace is byte-identical to pre-overlay builds.
   workload::ScenarioOverlay overlay;
+
+  /// The run scalars as `(case-file name, member)` pairs in case-file order
+  /// (eval::serialize_case / parse_case). `faults` and `overlay` list their
+  /// own fields; `verbose` is not part of a case.
+  static void visit_fields(auto& c, auto&& f) {
+    f("scenario", c.scenario);
+    f("seed", c.seed);
+    f("method", c.method);
+    f("epoch_shift", c.epoch_shift);
+    f("epoch_index_bits", c.epoch_index_bits);
+    f("threshold_factor", c.threshold_factor);
+    f("tele_mode", c.tele_mode);
+    f("one_bit_meter", c.one_bit_meter);
+    f("background_load", c.background_load);
+    f("fat_tree_k", c.fat_tree_k);
+    f("shards", c.shards);
+    f("max_repolls", c.max_repolls);
+    f("fleet_workload", c.fleet_workload);
+    f("fleet_severity", c.fleet_severity);
+  }
 };
 
 /// Empty if `cfg`'s run scalars are in range, otherwise a description of

@@ -1,6 +1,10 @@
 #pragma once
 
+#include <concepts>
+#include <cstdint>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "eval/runner.hpp"
 
@@ -30,6 +34,15 @@ namespace hawkeye::eval {
 ///  - `#`-prefixed and blank lines are ignored on parse, never emitted;
 ///  - top-level RunConfig scalars are always emitted; the faults./overlay.
 ///    blocks only when enabled, but then with every field of every spec;
+///  - keys and their order come from the field lists, not from this file:
+///    RunConfig::visit_fields, fault::FaultPlan::visit_families (family
+///    keys `faults.<key>.<index>.`, rtt_jitter unindexed and only when set)
+///    with each spec's visit_fields, ScenarioOverlay::visit_fields, then
+///    HuntCase::visit_fields (the expected.* block and note). Adding a
+///    field to one of those lists adds it to the format; an empty flow
+///    list or note is not written;
+///  - every value is decoded by eval::decode into its field's type, so an
+///    integer that does not fit (fat_tree_k=4294967300) fails, not wraps;
 ///  - unknown keys are a parse error — format drift fails loudly in CI
 ///    instead of silently dropping a mutation axis.
 struct HuntCase {
@@ -46,6 +59,15 @@ struct HuntCase {
   diagnosis::AnomalyType expected_truth = diagnosis::AnomalyType::kNone;
   /// One-line triage note (newlines are replaced by spaces on serialize).
   std::string note;
+
+  /// The case's own fields, `(case-file name, member)` in case-file order;
+  /// `cfg` lists its scalars, faults and overlay itself.
+  static void visit_fields(auto& c, auto&& f) {
+    f("expected.class", c.expected_class);
+    f("expected.verdict", c.expected_verdict);
+    f("expected.truth", c.expected_truth);
+    f("note", c.note);
+  }
 };
 
 /// Canonical text form of the case (see format rules above).
@@ -57,6 +79,27 @@ std::string serialize_case(const HuntCase& c);
 /// overlay / run scalar (each validate() is consulted so a corrupted
 /// fixture cannot reach the injector or the fabric builder).
 HuntCase parse_case(const std::string& text);
+
+/// Strict decoders from case-file (or command-line) text to a field's type,
+/// shared by parse_case and the `hawkeye` CLI flags. Each stores the value
+/// and returns an empty string when `text` is well formed and fits the
+/// destination type; otherwise it returns why not (malformed number, out
+/// of range for the type, unknown name) and leaves `out` unchanged. The
+/// number overload is built for int32 (int, net::NodeId, net::PortId),
+/// int64 (sim::Time), uint32, uint64 and double. A bool is 0 or 1, an enum
+/// its to_string name, a flow list comma-separated indices.
+template <typename T>
+concept DecodableNumber =
+    (std::integral<T> && !std::same_as<T, bool>) || std::floating_point<T>;
+template <DecodableNumber T>
+std::string decode(std::string_view text, T& out);
+std::string decode(std::string_view text, bool& out);
+std::string decode(std::string_view text, diagnosis::AnomalyType& out);
+std::string decode(std::string_view text, Method& out);
+std::string decode(std::string_view text, telemetry::TelemetryMode& out);
+std::string decode(std::string_view text, workload::FleetWorkload& out);
+std::string decode(std::string_view text, std::vector<std::uint32_t>& out);
+std::string decode(std::string_view text, std::string& out);
 
 /// Stable content fingerprint of a case (FNV-1a over the serialization) —
 /// the corpus filename suffix, so identical finds from different campaigns

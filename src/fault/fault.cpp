@@ -19,6 +19,118 @@ bool window_ok(sim::Time start, sim::Time stop) {
 
 bool prob_ok(double p) { return p >= 0.0 && p <= 1.0; }
 
+/// Where a spec fires: the switch or host `a`, the link (a, b), or the
+/// sender `a`'s `port`, read through the members each site kind names.
+struct FaultSite {
+  net::NodeId a = net::kInvalidNode;
+  net::NodeId b = net::kInvalidNode;
+  net::PortId port = net::kInvalidPort;
+};
+
+template <typename Spec>
+FaultSite site_of(const Spec& s) {
+  if constexpr (requires { s.node_a; }) {
+    return {s.node_a, s.node_b};
+  } else if constexpr (requires { s.port; }) {
+    return {s.sw, net::kInvalidNode, s.port};
+  } else if constexpr (requires { s.host; }) {
+    return {s.host};
+  } else {
+    return {s.sw};
+  }
+}
+
+/// Can two specs of one family match the same site? Link endpoints compare
+/// as unordered pairs; otherwise kInvalidNode / kInvalidPort are wildcards.
+bool sites_alias(SiteKind kind, const FaultSite& x, const FaultSite& y) {
+  if (kind == SiteKind::kLink) {
+    return std::minmax(x.a, x.b) == std::minmax(y.a, y.b);
+  }
+  const auto alias = [](std::int32_t p, std::int32_t q, std::int32_t any) {
+    return p == any || q == any || p == q;
+  };
+  return alias(x.a, y.a, net::kInvalidNode) &&
+         alias(x.port, y.port, net::kInvalidPort);
+}
+
+/// How an overlap message names a site, indexed by SiteKind.
+constexpr const char* kSiteNoun[] = {"switch", "link", "port", "host"};
+
+bool overlap(sim::Time s1, sim::Time e1, sim::Time s2, sim::Time e2) {
+  const sim::Time inf = std::numeric_limits<sim::Time>::max();
+  return std::max(s1, s2) < std::min(e1 < 0 ? inf : e1, e2 < 0 ? inf : e2);
+}
+
+/// Each spec's own range rules, as the text after "<family label>: "; a
+/// spec with none (AgentBlackout) takes the empty fallback.
+template <typename Spec>
+std::string range_error(const Spec&) {
+  return {};
+}
+
+std::string range_error(const PollFaultSpec& s) {
+  if (!prob_ok(s.drop_prob) || !prob_ok(s.duplicate_prob) ||
+      !prob_ok(s.delay_prob) ||
+      s.drop_prob + s.duplicate_prob + s.delay_prob > 1.0) {
+    return "probabilities out of range";
+  }
+  if (s.delay_ns < 0) return "negative delay_ns";
+  return {};
+}
+
+std::string range_error(const DmaFaultSpec& s) {
+  if (!prob_ok(s.fail_prob) || !prob_ok(s.stale_prob) ||
+      s.fail_prob + s.stale_prob > 1.0) {
+    return "probabilities out of range";
+  }
+  if (s.extra_delay < 0) return "negative extra_delay";
+  return {};
+}
+
+std::string range_error(const LinkFlapSpec& s) {
+  if (s.down_ns <= 0) return "non-positive down_ns";
+  if (s.period_ns != 0 && s.period_ns < s.down_ns) {
+    return "period shorter than down time";
+  }
+  if (s.jitter < 0 || s.jitter > 1) return "jitter out of [0,1]";
+  if (s.holddown_ns < 0) return "negative reconvergence hold-down";
+  if (s.holddown_ns == 0 && s.restore_holddown_ns >= 0) {
+    return "restore hold-down set while reconvergence disabled";
+  }
+  return {};
+}
+
+std::string range_error(const PfcFrameFaultSpec& s) {
+  if (!prob_ok(s.loss_prob) || !prob_ok(s.delay_prob) ||
+      s.loss_prob + s.delay_prob > 1.0) {
+    return "probabilities out of range";
+  }
+  // A negative delay delivers the frame before it was sent, which breaks
+  // the sharded simulator's lookahead (1- and N-shard runs diverge).
+  if (s.delay_ns < 0) return "negative delay_ns";
+  return {};
+}
+
+std::string range_error(const RttJitterSpec& s) {
+  return !prob_ok(s.prob) || s.magnitude < 0 ? "parameters out of range" : "";
+}
+
+std::string range_error(const DegradedLinkSpec& s) {
+  return s.ber < 0 || s.ber > 1 ? "ber out of [0,1]" : "";
+}
+
+std::string range_error(const LinkSpeedMismatchSpec& s) {
+  return s.gbps <= 0 ? "non-positive gbps" : "";
+}
+
+std::string range_error(const HostPcieBottleneckSpec& s) {
+  return s.drain_gbps <= 0 ? "non-positive drain_gbps" : "";
+}
+
+std::string range_error(const OversubscribedDownlinkSpec& s) {
+  return s.factor <= 0 || s.factor >= 1 ? "factor out of (0,1)" : "";
+}
+
 /// Open-ended flap trains (stop < 0) are materialized out to this horizon;
 /// evaluation traces run a few milliseconds, so one simulated second covers
 /// every run while keeping the precomputed schedule small.
@@ -104,89 +216,33 @@ FaultPlan FaultPlan::victim_flap_train(sim::Time period, sim::Time holddown) {
 }
 
 std::string FaultPlan::validate() const {
-  for (const PollFaultSpec& s : poll_faults) {
-    if (!window_ok(s.start, s.stop)) return "poll fault: empty/inverted window";
-    if (!prob_ok(s.drop_prob) || !prob_ok(s.duplicate_prob) ||
-        !prob_ok(s.delay_prob) ||
-        s.drop_prob + s.duplicate_prob + s.delay_prob > 1.0) {
-      return "poll fault: probabilities out of range";
+  std::string err;
+  // Per spec, in family order: its window, then (link kind) both endpoints
+  // bound or neither, then the spec's own range rules.
+  visit_families(*this, [&err](const FaultFamily& fam, const auto& specs) {
+    if (!err.empty()) return;
+    if constexpr (SpecList<decltype(specs)>) {
+      for (const auto& s : specs) {
+        const FaultSite site = site_of(s);
+        if (!window_ok(s.start, s.stop)) {
+          err = "empty/inverted window";
+        } else if (fam.site == SiteKind::kLink &&
+                   (site.a == net::kInvalidNode) !=
+                       (site.b == net::kInvalidNode)) {
+          // Both endpoints invalid is a placeholder the runner binds later;
+          // exactly one bound endpoint can only be a mistake.
+          err = "half-bound endpoints";
+        } else {
+          err = range_error(s);
+        }
+        if (!err.empty()) break;
+      }
+    } else {
+      err = range_error(specs);
     }
-  }
-  for (const DmaFaultSpec& s : dma_faults) {
-    if (!window_ok(s.start, s.stop)) return "dma fault: empty/inverted window";
-    if (!prob_ok(s.fail_prob) || !prob_ok(s.stale_prob) ||
-        s.fail_prob + s.stale_prob > 1.0) {
-      return "dma fault: probabilities out of range";
-    }
-  }
-  for (const AgentBlackout& b : blackouts) {
-    if (!window_ok(b.start, b.stop)) return "blackout: empty/inverted window";
-  }
-  for (const LinkFlapSpec& s : link_flaps) {
-    if (!window_ok(s.start, s.stop)) {
-      return "link flap: empty/inverted window";
-    }
-    // Both endpoints invalid is a placeholder the runner binds later;
-    // exactly one bound endpoint can only be a mistake.
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "link flap: half-bound endpoints";
-    }
-    if (s.down_ns <= 0) return "link flap: non-positive down_ns";
-    if (s.period_ns != 0 && s.period_ns < s.down_ns) {
-      return "link flap: period shorter than down time";
-    }
-    if (s.jitter < 0 || s.jitter > 1) return "link flap: jitter out of [0,1]";
-    if (s.holddown_ns < 0) return "link flap: negative reconvergence hold-down";
-    if (s.holddown_ns == 0 && s.restore_holddown_ns >= 0) {
-      return "link flap: restore hold-down set while reconvergence disabled";
-    }
-  }
-  for (const PfcFrameFaultSpec& s : pfc_faults) {
-    if (!window_ok(s.start, s.stop)) {
-      return "pfc frame fault: empty/inverted window";
-    }
-    if (!prob_ok(s.loss_prob) || !prob_ok(s.delay_prob) ||
-        s.loss_prob + s.delay_prob > 1.0) {
-      return "pfc frame fault: probabilities out of range";
-    }
-  }
-  if (!prob_ok(rtt_jitter.prob) || rtt_jitter.magnitude < 0) {
-    return "rtt jitter: parameters out of range";
-  }
-  for (const DegradedLinkSpec& s : degraded_links) {
-    if (!window_ok(s.start, s.stop)) {
-      return "degraded link: empty/inverted window";
-    }
-    // Both endpoints invalid is a placeholder the runner binds later;
-    // exactly one bound endpoint can only be a mistake.
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "degraded link: half-bound endpoints";
-    }
-    if (s.ber < 0 || s.ber > 1) return "degraded link: ber out of [0,1]";
-  }
-  for (const LinkSpeedMismatchSpec& s : speed_mismatches) {
-    if (!window_ok(s.start, s.stop)) {
-      return "speed mismatch: empty/inverted window";
-    }
-    if ((s.node_a == net::kInvalidNode) != (s.node_b == net::kInvalidNode)) {
-      return "speed mismatch: half-bound endpoints";
-    }
-    if (s.gbps <= 0) return "speed mismatch: non-positive gbps";
-  }
-  for (const HostPcieBottleneckSpec& s : pcie_bottlenecks) {
-    if (!window_ok(s.start, s.stop)) {
-      return "pcie bottleneck: empty/inverted window";
-    }
-    if (s.drain_gbps <= 0) return "pcie bottleneck: non-positive drain_gbps";
-  }
-  for (const OversubscribedDownlinkSpec& s : oversub_downlinks) {
-    if (!window_ok(s.start, s.stop)) {
-      return "oversubscribed downlink: empty/inverted window";
-    }
-    if (s.factor <= 0 || s.factor >= 1) {
-      return "oversubscribed downlink: factor out of (0,1)";
-    }
-  }
+    if (!err.empty()) err = std::string(fam.label) + ": " + err;
+  });
+  if (!err.empty()) return err;
 
   // --- Same-site overlapping windows ---
   // Spec lookup is first-match-wins (poll_spec / dma_spec / the degraded
@@ -195,112 +251,26 @@ std::string FaultPlan::validate() const {
   // dead weight that *looks* installed. Reject the ambiguity; adjacent
   // half-open windows ([a,b) then [b,c)) remain fine. Windows with
   // stop < 0 extend to the end of the run; wildcard sites (kInvalidNode
-  // switch/host, kInvalidPort port, both-placeholder link endpoints)
-  // conflict with every site their family could match.
-  const auto overlap = [](sim::Time s1, sim::Time e1, sim::Time s2,
-                          sim::Time e2) {
-    const sim::Time inf = std::numeric_limits<sim::Time>::max();
-    return std::max(s1, s2) < std::min(e1 < 0 ? inf : e1, e2 < 0 ? inf : e2);
-  };
-  const auto nodes_alias = [](net::NodeId a, net::NodeId b) {
-    return a == net::kInvalidNode || b == net::kInvalidNode || a == b;
-  };
-  const auto links_alias = [](net::NodeId a1, net::NodeId b1, net::NodeId a2,
-                              net::NodeId b2) {
-    return std::minmax(a1, b1) == std::minmax(a2, b2);
-  };
-  for (std::size_t i = 0; i < poll_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < poll_faults.size(); ++j) {
-      const PollFaultSpec& a = poll_faults[i];
-      const PollFaultSpec& b = poll_faults[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "poll fault: overlapping windows for the same switch";
+  // switch/host, kInvalidPort port) conflict with every site their family
+  // could match, and link specs alias when their endpoint pairs match.
+  visit_families(*this, [&err](const FaultFamily& fam, const auto& specs) {
+    if constexpr (SpecList<decltype(specs)>) {
+      for (std::size_t i = 0; i < specs.size() && err.empty(); ++i) {
+        for (std::size_t j = i + 1; j < specs.size(); ++j) {
+          const auto& a = specs[i];
+          const auto& b = specs[j];
+          if (sites_alias(fam.site, site_of(a), site_of(b)) &&
+              overlap(a.start, a.stop, b.start, b.stop)) {
+            err = std::string(fam.label) +
+                  ": overlapping windows for the same " +
+                  kSiteNoun[static_cast<int>(fam.site)];
+            break;
+          }
+        }
       }
     }
-  }
-  for (std::size_t i = 0; i < dma_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < dma_faults.size(); ++j) {
-      const DmaFaultSpec& a = dma_faults[i];
-      const DmaFaultSpec& b = dma_faults[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "dma fault: overlapping windows for the same switch";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < blackouts.size(); ++i) {
-    for (std::size_t j = i + 1; j < blackouts.size(); ++j) {
-      const AgentBlackout& a = blackouts[i];
-      const AgentBlackout& b = blackouts[j];
-      if (nodes_alias(a.sw, b.sw) && overlap(a.start, a.stop, b.start, b.stop)) {
-        return "blackout: overlapping windows for the same switch";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < link_flaps.size(); ++i) {
-    for (std::size_t j = i + 1; j < link_flaps.size(); ++j) {
-      const LinkFlapSpec& a = link_flaps[i];
-      const LinkFlapSpec& b = link_flaps[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "link flap: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < pfc_faults.size(); ++i) {
-    for (std::size_t j = i + 1; j < pfc_faults.size(); ++j) {
-      const PfcFrameFaultSpec& a = pfc_faults[i];
-      const PfcFrameFaultSpec& b = pfc_faults[j];
-      const bool port_aliases = a.port == net::kInvalidPort ||
-                                b.port == net::kInvalidPort ||
-                                a.port == b.port;
-      if (nodes_alias(a.sw, b.sw) && port_aliases &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "pfc frame fault: overlapping windows for the same port";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < degraded_links.size(); ++i) {
-    for (std::size_t j = i + 1; j < degraded_links.size(); ++j) {
-      const DegradedLinkSpec& a = degraded_links[i];
-      const DegradedLinkSpec& b = degraded_links[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "degraded link: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < speed_mismatches.size(); ++i) {
-    for (std::size_t j = i + 1; j < speed_mismatches.size(); ++j) {
-      const LinkSpeedMismatchSpec& a = speed_mismatches[i];
-      const LinkSpeedMismatchSpec& b = speed_mismatches[j];
-      if (links_alias(a.node_a, a.node_b, b.node_a, b.node_b) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "speed mismatch: overlapping windows for the same link";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < pcie_bottlenecks.size(); ++i) {
-    for (std::size_t j = i + 1; j < pcie_bottlenecks.size(); ++j) {
-      const HostPcieBottleneckSpec& a = pcie_bottlenecks[i];
-      const HostPcieBottleneckSpec& b = pcie_bottlenecks[j];
-      if (nodes_alias(a.host, b.host) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "pcie bottleneck: overlapping windows for the same host";
-      }
-    }
-  }
-  for (std::size_t i = 0; i < oversub_downlinks.size(); ++i) {
-    for (std::size_t j = i + 1; j < oversub_downlinks.size(); ++j) {
-      const OversubscribedDownlinkSpec& a = oversub_downlinks[i];
-      const OversubscribedDownlinkSpec& b = oversub_downlinks[j];
-      if (nodes_alias(a.sw, b.sw) &&
-          overlap(a.start, a.stop, b.start, b.stop)) {
-        return "oversubscribed downlink: overlapping windows for the same "
-               "switch";
-      }
-    }
-  }
-  return {};
+  });
+  return err;
 }
 
 const PollFaultSpec* FaultInjector::poll_spec(net::NodeId sw,

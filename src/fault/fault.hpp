@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -51,6 +52,19 @@ struct PollFaultSpec {
   /// Active window [start, stop); stop < 0 means until the end of the run.
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  /// `(case-file name, member)` pairs in case-file order. Every spec struct
+  /// lists its fields this way; eval::serialize_case and eval::parse_case
+  /// walk these lists instead of naming fields themselves.
+  static void visit_fields(auto& s, auto&& f) {
+    f("sw", s.sw);
+    f("drop_prob", s.drop_prob);
+    f("duplicate_prob", s.duplicate_prob);
+    f("delay_prob", s.delay_prob);
+    f("delay_ns", s.delay_ns);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// Faults on the controller-assisted register snapshot (switch-CPU DMA,
@@ -66,6 +80,15 @@ struct DmaFaultSpec {
   sim::Time extra_delay = sim::ms(1);
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("sw", s.sw);
+    f("fail_prob", s.fail_prob);
+    f("stale_prob", s.stale_prob);
+    f("extra_delay", s.extra_delay);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// A HawkeyeSwitchAgent outage (agent crash/restart): during [start, stop)
@@ -77,6 +100,12 @@ struct AgentBlackout {
   net::NodeId sw = net::kInvalidNode;
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("sw", s.sw);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// A physical link flapping: the link is dead during one or more down
@@ -119,6 +148,18 @@ struct LinkFlapSpec {
   sim::Time restore_holddown() const {
     return restore_holddown_ns < 0 ? holddown_ns : restore_holddown_ns;
   }
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("node_a", s.node_a);
+    f("node_b", s.node_b);
+    f("start", s.start);
+    f("stop", s.stop);
+    f("down_ns", s.down_ns);
+    f("period_ns", s.period_ns);
+    f("jitter", s.jitter);
+    f("holddown_ns", s.holddown_ns);
+    f("restore_holddown_ns", s.restore_holddown_ns);
+  }
 };
 
 /// Per-port probabilistic loss/delay of PFC pause/resume frames on the
@@ -139,6 +180,18 @@ struct PfcFrameFaultSpec {
   bool affect_resume = true;  // quanta == 0 frames
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("sw", s.sw);
+    f("port", s.port);
+    f("loss_prob", s.loss_prob);
+    f("delay_prob", s.delay_prob);
+    f("delay_ns", s.delay_ns);
+    f("affect_pause", s.affect_pause);
+    f("affect_resume", s.affect_resume);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// Noise on the RTT samples feeding the DetectionAgent (flaky host timer /
@@ -147,6 +200,13 @@ struct PfcFrameFaultSpec {
 struct RttJitterSpec {
   double prob = 0;
   double magnitude = 0;
+
+  bool operator==(const RttJitterSpec&) const = default;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("prob", s.prob);
+    f("magnitude", s.magnitude);
+  }
 };
 
 /// Fleet-ops fault class 1 — a degraded cable (net_sanitizer's "bad cable"):
@@ -173,6 +233,14 @@ struct DegradedLinkSpec {
   double ber = 0;
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("node_a", s.node_a);
+    f("node_b", s.node_b);
+    f("ber", s.ber);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// Fleet-ops fault class 2 — link-speed mismatch: one link negotiated at a
@@ -191,6 +259,14 @@ struct LinkSpeedMismatchSpec {
   double gbps = 25.0;  // negotiated (actual) speed, below nominal
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("node_a", s.node_a);
+    f("node_b", s.node_b);
+    f("gbps", s.gbps);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// Fleet-ops fault class 3 — host-side PCIe bottleneck: the receiving NIC
@@ -205,6 +281,13 @@ struct HostPcieBottleneckSpec {
   double drain_gbps = 8.0;               // well under a 100G line rate
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("host", s.host);
+    f("drain_gbps", s.drain_gbps);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
 
 /// Fleet-ops fault class 4 — oversubscribed down-links: the down-links of
@@ -220,7 +303,31 @@ struct OversubscribedDownlinkSpec {
   double factor = 0.5;  // fraction of nominal capacity, in (0, 1)
   sim::Time start = 0;
   sim::Time stop = -1;
+
+  static void visit_fields(auto& s, auto&& f) {
+    f("sw", s.sw);
+    f("factor", s.factor);
+    f("start", s.start);
+    f("stop", s.stop);
+  }
 };
+
+/// What the specs of one family target. The kind decides which specs alias
+/// one another (FaultPlan::validate's same-site rule), which families need
+/// both link endpoints bound or neither, and which hold link placeholders
+/// the evaluation runner binds to the victim's path.
+enum class SiteKind : std::uint8_t { kSwitch, kLink, kPort, kHost };
+
+/// One FaultPlan family as FaultPlan::visit_families lists it.
+struct FaultFamily {
+  std::string_view key;    ///< case-file key: faults.<key>.<index>.<field>
+  std::string_view label;  ///< how validate() messages name the family
+  SiteKind site;
+};
+
+/// True for a family's spec vector, false for the rtt_jitter singleton.
+template <typename T>
+concept SpecList = requires(T& t) { t.size(); };
 
 struct FaultPlan {
   std::uint64_t seed = 1;
@@ -254,6 +361,28 @@ struct FaultPlan {
   bool fleet_enabled() const {
     return !degraded_links.empty() || !speed_mismatches.empty() ||
            !pcie_bottlenecks.empty() || !oversub_downlinks.empty();
+  }
+
+  /// Every family, in case-file order, as `f(FaultFamily, specs)`: the nine
+  /// spec vectors, with the rtt_jitter singleton (no window, no site) in its
+  /// slot after pfc. validate(), the case-file serializer and parser, the
+  /// overlay's window scaling, the hunter's shrinker and the runner's
+  /// link-placeholder binding all walk this one list.
+  static void visit_families(auto&& p, auto&& f) {
+    f(FaultFamily{"poll", "poll fault", SiteKind::kSwitch}, p.poll_faults);
+    f(FaultFamily{"dma", "dma fault", SiteKind::kSwitch}, p.dma_faults);
+    f(FaultFamily{"blackout", "blackout", SiteKind::kSwitch}, p.blackouts);
+    f(FaultFamily{"flap", "link flap", SiteKind::kLink}, p.link_flaps);
+    f(FaultFamily{"pfc", "pfc frame fault", SiteKind::kPort}, p.pfc_faults);
+    f(FaultFamily{"rtt_jitter", "rtt jitter", SiteKind::kHost}, p.rtt_jitter);
+    f(FaultFamily{"degraded", "degraded link", SiteKind::kLink},
+      p.degraded_links);
+    f(FaultFamily{"speed", "speed mismatch", SiteKind::kLink},
+      p.speed_mismatches);
+    f(FaultFamily{"pcie", "pcie bottleneck", SiteKind::kHost},
+      p.pcie_bottlenecks);
+    f(FaultFamily{"oversub", "oversubscribed downlink", SiteKind::kSwitch},
+      p.oversub_downlinks);
   }
 
   /// Structural sanity check: empty string when the plan is installable,

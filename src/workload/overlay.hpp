@@ -57,6 +57,18 @@ struct ScenarioOverlay {
   /// Empty string when applicable, else the first problem (non-positive
   /// scale factors and the like). Mirrors fault::FaultPlan::validate.
   std::string validate() const;
+
+  /// `(case-file name, member)` pairs in case-file order, the list
+  /// eval::serialize_case and parse_case walk (see fault::PollFaultSpec).
+  static void visit_fields(auto& o, auto&& f) {
+    f("drop_flows", o.drop_flows);
+    f("size_scale", o.size_scale);
+    f("rate_scale", o.rate_scale);
+    f("arrival_stride_ns", o.arrival_stride_ns);
+    f("duration_add_ns", o.duration_add_ns);
+    f("fault_rate_scale", o.fault_rate_scale);
+    f("fault_window_scale", o.fault_window_scale);
+  }
 };
 
 /// Apply the overlay to a freshly crafted spec (identity when disabled).

@@ -424,6 +424,29 @@ TEST(FaultPlanTest, ValidateRejectsBadSpecs) {
               p.pfc_faults.push_back(s);
             }),
             "");
+  // Negative delays: a frame or snapshot cannot arrive before it was sent
+  // (a negative PFC delay also breaks the sharded simulator's lookahead).
+  EXPECT_EQ(broken([](fault::FaultPlan& p) {
+              fault::PollFaultSpec s;
+              s.delay_prob = 0.5;
+              s.delay_ns = -sim::us(1);
+              p.poll_faults.push_back(s);
+            }),
+            "poll fault: negative delay_ns");
+  EXPECT_EQ(broken([](fault::FaultPlan& p) {
+              fault::DmaFaultSpec s;
+              s.stale_prob = 0.5;
+              s.extra_delay = -sim::us(1);
+              p.dma_faults.push_back(s);
+            }),
+            "dma fault: negative extra_delay");
+  EXPECT_EQ(broken([](fault::FaultPlan& p) {
+              fault::PfcFrameFaultSpec s;
+              s.delay_prob = 1.0;
+              s.delay_ns = -sim::ms(5);
+              p.pfc_faults.push_back(s);
+            }),
+            "pfc frame fault: negative delay_ns");
 
   // A fully-loaded but well-formed plan passes.
   fault::FaultPlan ok = fault::FaultPlan::uniform_poll_loss(0.2, 5);

@@ -4,6 +4,12 @@
 // replays bit-for-bit through run_one (the file really is the run).
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
+
 #include "eval/canonical.hpp"
 #include "eval/scenario_io.hpp"
 
@@ -13,9 +19,9 @@ namespace {
 using diagnosis::AnomalyType;
 
 HuntCase full_case() {
-  // Every serializable axis populated at once: one spec per fault list
-  // (same-list windows would overlap), jitter, a full overlay, and the
-  // expected block.
+  // Every serializable axis populated at once: one spec per fault family
+  // (same-family windows would overlap) with every field off its default,
+  // jitter, a full overlay, and the expected block.
   HuntCase c;
   c.cfg.scenario = AnomalyType::kPfcStorm;
   c.cfg.seed = 42;
@@ -36,13 +42,17 @@ HuntCase full_case() {
   fault::PollFaultSpec poll;
   poll.sw = 3;
   poll.drop_prob = 0.25;
+  poll.duplicate_prob = 0.0625;
   poll.delay_prob = 0.125;
   poll.delay_ns = sim::us(120);
   poll.start = sim::us(10);
   poll.stop = sim::us(500);
   fp.poll_faults.push_back(poll);
   fault::DmaFaultSpec dma;
+  dma.sw = 2;
   dma.fail_prob = 0.5;
+  dma.stale_prob = 0.25;
+  dma.extra_delay = sim::ms(2);
   dma.start = sim::us(100);
   dma.stop = sim::us(200);
   fp.dma_faults.push_back(dma);
@@ -52,26 +62,55 @@ HuntCase full_case() {
   bo.stop = sim::us(60);
   fp.blackouts.push_back(bo);
   fault::LinkFlapSpec flap;
+  flap.node_a = 6;
+  flap.node_b = 7;
   flap.start = sim::us(100);
   flap.stop = sim::us(900);
   flap.down_ns = sim::us(30);
   flap.period_ns = sim::us(200);
   flap.jitter = 0.5;
   flap.holddown_ns = sim::us(50);
+  flap.restore_holddown_ns = sim::us(80);
   fp.link_flaps.push_back(flap);
   fault::PfcFrameFaultSpec pfc;
+  pfc.sw = 4;
+  pfc.port = 2;
   pfc.loss_prob = 0.3;
+  pfc.delay_prob = 0.2;
+  pfc.delay_ns = sim::us(40);
+  pfc.affect_pause = false;
   pfc.affect_resume = false;
   pfc.start = sim::us(20);
-  pfc.stop = -1;
+  pfc.stop = sim::us(800);
   fp.pfc_faults.push_back(pfc);
   fp.rtt_jitter.prob = 0.1;
   fp.rtt_jitter.magnitude = 1.5;
   fault::DegradedLinkSpec deg;
+  deg.node_a = 8;
+  deg.node_b = 9;
   deg.ber = 1e-6;
-  deg.start = 0;
+  deg.start = sim::us(10);
   deg.stop = sim::us(700);
   fp.degraded_links.push_back(deg);
+  fault::LinkSpeedMismatchSpec speed;
+  speed.node_a = 10;
+  speed.node_b = 11;
+  speed.gbps = 40.0;
+  speed.start = sim::us(5);
+  speed.stop = sim::us(600);
+  fp.speed_mismatches.push_back(speed);
+  fault::HostPcieBottleneckSpec pcie;
+  pcie.host = 12;
+  pcie.drain_gbps = 4.0;
+  pcie.start = sim::us(15);
+  pcie.stop = sim::us(400);
+  fp.pcie_bottlenecks.push_back(pcie);
+  fault::OversubscribedDownlinkSpec oversub;
+  oversub.sw = 13;
+  oversub.factor = 0.25;
+  oversub.start = sim::us(25);
+  oversub.stop = sim::us(300);
+  fp.oversub_downlinks.push_back(oversub);
   workload::ScenarioOverlay& ov = c.cfg.overlay;
   ov.drop_flows = {4, 2, 9};
   ov.size_scale = 0.5;
@@ -87,8 +126,42 @@ HuntCase full_case() {
   return c;
 }
 
+/// Every field of a spec, as (case-file name, printed value).
+template <typename Spec>
+std::vector<std::pair<std::string, std::string>> printed_fields(
+    const Spec& s) {
+  std::vector<std::pair<std::string, std::string>> out;
+  Spec::visit_fields(s, [&out](std::string_view name, const auto& v) {
+    std::ostringstream os;
+    os << v;
+    out.emplace_back(std::string(name), os.str());
+  });
+  return out;
+}
+
 TEST(ScenarioIoTest, SerializeParseSerializeIsFixedPoint) {
   const HuntCase c = full_case();
+  // The fixture fills every family with one spec whose every field is off
+  // its default, so a field the serializer or the parser drops breaks the
+  // fixed point below.
+  fault::FaultPlan::visit_families(
+      c.cfg.faults, [](const fault::FaultFamily& fam, const auto& specs) {
+        const auto expect_set = [&fam](const auto& spec) {
+          using Spec = std::remove_cvref_t<decltype(spec)>;
+          const auto got = printed_fields(spec);
+          const auto def = printed_fields(Spec{});
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_NE(got[i].second, def[i].second)
+                << fam.key << "." << got[i].first << " holds its default";
+          }
+        };
+        if constexpr (fault::SpecList<decltype(specs)>) {
+          ASSERT_EQ(specs.size(), 1u) << fam.key;
+          expect_set(specs[0]);
+        } else {
+          expect_set(specs);
+        }
+      });
   const std::string s1 = serialize_case(c);
   const HuntCase parsed = parse_case(s1);
   const std::string s2 = serialize_case(parsed);
@@ -214,6 +287,9 @@ TEST(ScenarioIo, RejectsOutOfRangeRunScalars) {
       {"shards", "0"},           {"shards", "5000"},
       {"epoch_shift", "64"},     {"epoch_index_bits", "40"},
       {"background_load", "1.5"}, {"threshold_factor", "0"},
+      // Values that do not fit the field's type fail instead of wrapping.
+      {"fat_tree_k", "4294967300"}, {"max_repolls", "-1"},
+      {"faults.poll.0.sw", "4294967299"},
   };
   for (const auto& [key, val] : bad) {
     try {

@@ -190,6 +190,27 @@ void dump_testbed(eval::Testbed& tb) {
   }
 }
 
+/// A numeric argument, decoded by the case-file decoders (eval::decode): a
+/// malformed or out-of-range value, or one below `min`, exits 2 with one
+/// line naming the argument.
+template <typename T>
+T number_arg(const char* cmd, const std::string& name, const char* text,
+             T min) {
+  T v{};
+  std::string why = eval::decode(text, v);
+  if (why.empty() && v < min) {
+    std::ostringstream os;
+    os << "want >= " << min;
+    why = os.str();
+  }
+  if (!why.empty()) {
+    std::fprintf(stderr, "hawkeye %s: %s %s: %s\n", cmd, name.c_str(), text,
+                 why.c_str());
+    std::exit(2);
+  }
+  return v;
+}
+
 int run(int argc, char** argv) {
   bool explain_runs = false;
   double tau = eval::HuntOptions{}.tau;
@@ -200,12 +221,11 @@ int run(int argc, char** argv) {
     if (a == "--explain") {
       explain_runs = true;
     } else if (a == "--tau") {
-      char* end = nullptr;
-      if (i + 1 < argc) tau = std::strtod(argv[++i], &end);
-      if (end == nullptr || end == argv[i] || *end != '\0') {
+      if (i + 1 >= argc) {
         std::fprintf(stderr, "hawkeye run: --tau needs a number\n");
         return 2;
       }
+      tau = number_arg("run", a, argv[++i], 0.0);
     } else if (a.rfind("--", 0) == 0) {
       return usage();
     } else if (a.find('=') != std::string::npos) {
@@ -277,27 +297,29 @@ int hunt(int argc, char** argv) {
     const std::string a = argv[i];
     const auto next = [&]() -> const char* {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", a.c_str());
+        std::fprintf(stderr, "hawkeye hunt: %s needs a value\n", a.c_str());
         std::exit(2);
       }
       return argv[++i];
     };
-    if (a == "--seed") opts.seed = std::strtoull(next(), nullptr, 10);
-    else if (a == "--budget") opts.budget = std::atoi(next());
-    else if (a == "--batch") opts.batch = std::atoi(next());
-    else if (a == "--threads") opts.threads = std::atoi(next());
-    else if (a == "--tau") opts.tau = std::atof(next());
-    else if (a == "--k") opts.ks.push_back(std::atoi(next()));
-    else if (a == "--shards") opts.shard_choices.push_back(std::atoi(next()));
+    const auto num = [&](auto min) {
+      return number_arg("hunt", a, next(), min);
+    };
+    if (a == "--seed") opts.seed = num(std::uint64_t{0});
+    else if (a == "--budget") opts.budget = num(1);
+    else if (a == "--batch") opts.batch = num(1);
+    else if (a == "--threads") opts.threads = num(0);
+    else if (a == "--tau") opts.tau = num(0.0);
+    else if (a == "--k") opts.ks.push_back(num(1));
+    else if (a == "--shards") opts.shard_choices.push_back(num(1));
     else if (a == "--no-shrink") opts.shrink = false;
-    else if (a == "--max-finds") opts.max_finds = std::atoi(next());
+    else if (a == "--max-finds") opts.max_finds = num(0);
     else if (a == "--corpus") opts.corpus_dir = next();
     else if (a == "--log") log_file = next();
     else return usage();
   }
   if (opts.ks.empty()) opts.ks = {4};
   if (opts.shard_choices.empty()) opts.shard_choices = {1};
-  if (opts.budget <= 0) return usage();
   // Trials sample k and shards independently: every pair must be runnable.
   for (const int k : opts.ks) {
     for (const int s : opts.shard_choices) {
@@ -370,7 +392,9 @@ double brier(const std::vector<Sample>& samples,
 }
 
 int calibrate(int argc, char** argv) {
-  const int seeds = argc > 1 ? std::atoi(argv[1]) : 5;
+  if (argc > 2) return usage();
+  const int seeds =
+      argc > 1 ? number_arg("calibrate", "seeds-per-point", argv[1], 1) : 5;
   const diagnosis::AnomalyType types[] = {
       diagnosis::AnomalyType::kMicroBurstIncast,
       diagnosis::AnomalyType::kPfcStorm,
