@@ -32,12 +32,11 @@ namespace {
 
 /// The schedule+dispatch workload: `timers` self-rescheduling timers with
 /// the capture footprint of the real packet-arrival closure (four words —
-/// pointer, pointer, slot, port), hopping the delay mix the fabric actually
-/// schedules: 80–1103 ns serialization + propagation hops (MTU at 100 Gbps
-/// ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of events arming a 3 ms
-/// retransmit-timeout-like far delay. `timers` is the pending-event
-/// population — k=8 traces hold tens of thousands of in-flight packets.
-/// Each timer fires `hops` times.
+/// pointer, pointer, slot, port), each firing `hops` times and drawing its
+/// next delay from `Delay` (fed by a per-timer LCG, so runs are
+/// deterministic). `timers` is the pending-event population — k=8 traces
+/// hold tens of thousands of in-flight packets.
+template <sim::Time (*Delay)(std::uint32_t)>
 std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
   std::uint64_t fired = 0;
   struct Timer {
@@ -48,10 +47,8 @@ std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
     void operator()() {
       ++*fired;
       if (--left <= 0) return;
-      state = state * 1664525u + 1013904223u;  // LCG: deterministic delays
-      sim::Time delay = 80 + (state >> 22);    // 80 .. 1103 ns hop
-      if ((state & 63u) == 0) delay = 3'000'000;  // RTO-like far event
-      simu->schedule(delay, *this);
+      state = state * 1664525u + 1013904223u;
+      simu->schedule(Delay(state), *this);
     }
   };
   for (int i = 0; i < timers; ++i) {
@@ -62,15 +59,41 @@ std::uint64_t pump_events(sim::Simulator& simu, int timers, int hops) {
   return fired;
 }
 
+/// The fabric's delay mix: 80–1103 ns serialization + propagation hops (MTU
+/// at 100 Gbps ≈ 123 ns; per-link delay 1000 ns) with ~1.6% of events
+/// arming a 3 ms retransmit-timeout-like far delay.
+sim::Time fabric_delay(std::uint32_t state) {
+  if ((state & 63u) == 0) return 3'000'000;  // RTO-like far event
+  return 80 + (state >> 22);                 // 80 .. 1103 ns hop
+}
+
+/// The dense-bucket shape of a k=8 trace: one event in five reschedules
+/// itself 5 ns later (an ACK serialization wake, landing in the bucket
+/// being drained), the rest hop 2000–2063 ns (a link's propagation delay).
+/// With 4096 timers that is about 160 events per 64 ns bucket.
+sim::Time dense_delay(std::uint32_t state) {
+  return (state >> 16) % 5 == 0 ? 5 : 2000 + (state >> 26);
+}
+
 void BM_ScheduleDispatchCalendar(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     sim::Simulator simu;
-    benchmark::DoNotOptimize(pump_events(simu, timers, 64));
+    benchmark::DoNotOptimize(pump_events<fabric_delay>(simu, timers, 64));
   }
   state.SetItemsProcessed(state.iterations() * timers * 64);
 }
 BENCHMARK(BM_ScheduleDispatchCalendar)->Arg(1000)->Arg(20000)->Arg(100000);
+
+void BM_ScheduleDispatchDenseBuckets(benchmark::State& state) {
+  const int timers = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulator simu;
+    benchmark::DoNotOptimize(pump_events<dense_delay>(simu, timers, 64));
+  }
+  state.SetItemsProcessed(state.iterations() * timers * 64);
+}
+BENCHMARK(BM_ScheduleDispatchDenseBuckets)->Arg(4096);
 
 net::FiveTuple tup(std::uint32_t s, std::uint32_t d, std::uint16_t sp) {
   net::FiveTuple t;

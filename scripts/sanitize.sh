@@ -6,8 +6,10 @@
 # asan: ASan+UBSan build, runs the simulator-core and device tests (the
 #       allocation-free event calendar with its recycled bucket vectors,
 #       and the packet-slab paths), the telemetry engine and report-merge
-#       tests (the sparse flow-table index), and the k=4 golden-trace suite
-#       (every layer end to end on the fixed cells).
+#       tests (the sparse flow-table index), the k=4 golden-trace suite
+#       (every layer end to end on the fixed cells), and ShardEdgeTest,
+#       whose sharded runs drive the calendar's out-of-order-seq lane sort
+#       and its behind-the-frontier heap.
 # tsan: TSan build, runs the parallel sweep-runner tests plus the
 #       fault-injection suite (link flaps / PFC frame loss exercise the
 #       injector from every sweep worker thread), the reconvergence /
@@ -37,7 +39,7 @@ run_asan() {
   cmake --build build-asan -j "$(nproc)" \
         --target hawkeye_tests hawkeye_golden_test
   (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|TelemetryEngineTest|MergeReportTest|GoldenTrace')
+        -R 'SimulatorTest|InlineActionTest|CalendarTest|Switch|Host|Device|Network|FleetRunTest|FleetSignatureTest|ScenarioIoTest|HuntClassifyTest|TelemetryEngineTest|MergeReportTest|GoldenTrace|ShardEdgeTest')
 }
 
 run_tsan() {

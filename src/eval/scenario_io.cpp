@@ -1,6 +1,7 @@
 #include "eval/scenario_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <concepts>
 #include <sstream>
 #include <type_traits>
@@ -164,6 +165,9 @@ std::string decode(std::string_view text, T& out) {
     return std::is_floating_point_v<T> ? "bad number"
            : std::is_signed_v<T>       ? "bad integer"
                                        : "bad unsigned integer";
+  }
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(v)) return "not a finite number";
   }
   out = v;
   return {};

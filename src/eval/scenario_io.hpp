@@ -86,8 +86,9 @@ HuntCase parse_case(const std::string& text);
 /// destination type; otherwise it returns why not (malformed number, out
 /// of range for the type, unknown name) and leaves `out` unchanged. The
 /// number overload is built for int32 (int, net::NodeId, net::PortId),
-/// int64 (sim::Time), uint32, uint64 and double. A bool is 0 or 1, an enum
-/// its to_string name, a flow list comma-separated indices.
+/// int64 (sim::Time), uint32, uint64 and double; a double must be finite
+/// (no nan or inf). A bool is 0 or 1, an enum its to_string name, a flow
+/// list comma-separated indices.
 template <typename T>
 concept DecodableNumber =
     (std::integral<T> && !std::same_as<T, bool>) || std::floating_point<T>;

@@ -17,6 +17,8 @@ bool window_ok(sim::Time start, sim::Time stop) {
   return start >= 0 && (stop < 0 || stop > start);
 }
 
+// Every range rule below is written so that NaN fails it: a comparison
+// with NaN is false, so each rule tests that the value is in range.
 bool prob_ok(double p) { return p >= 0.0 && p <= 1.0; }
 
 /// Where a spec fires: the switch or host `a`, the link (a, b), or the
@@ -92,7 +94,7 @@ std::string range_error(const LinkFlapSpec& s) {
   if (s.period_ns != 0 && s.period_ns < s.down_ns) {
     return "period shorter than down time";
   }
-  if (s.jitter < 0 || s.jitter > 1) return "jitter out of [0,1]";
+  if (!prob_ok(s.jitter)) return "jitter out of [0,1]";
   if (s.holddown_ns < 0) return "negative reconvergence hold-down";
   if (s.holddown_ns == 0 && s.restore_holddown_ns >= 0) {
     return "restore hold-down set while reconvergence disabled";
@@ -112,23 +114,24 @@ std::string range_error(const PfcFrameFaultSpec& s) {
 }
 
 std::string range_error(const RttJitterSpec& s) {
-  return !prob_ok(s.prob) || s.magnitude < 0 ? "parameters out of range" : "";
+  return !prob_ok(s.prob) || !(s.magnitude >= 0) ? "parameters out of range"
+                                                 : "";
 }
 
 std::string range_error(const DegradedLinkSpec& s) {
-  return s.ber < 0 || s.ber > 1 ? "ber out of [0,1]" : "";
+  return !prob_ok(s.ber) ? "ber out of [0,1]" : "";
 }
 
 std::string range_error(const LinkSpeedMismatchSpec& s) {
-  return s.gbps <= 0 ? "non-positive gbps" : "";
+  return !(s.gbps > 0) ? "non-positive gbps" : "";
 }
 
 std::string range_error(const HostPcieBottleneckSpec& s) {
-  return s.drain_gbps <= 0 ? "non-positive drain_gbps" : "";
+  return !(s.drain_gbps > 0) ? "non-positive drain_gbps" : "";
 }
 
 std::string range_error(const OversubscribedDownlinkSpec& s) {
-  return s.factor <= 0 || s.factor >= 1 ? "factor out of (0,1)" : "";
+  return !(s.factor > 0 && s.factor < 1) ? "factor out of (0,1)" : "";
 }
 
 /// Open-ended flap trains (stop < 0) are materialized out to this horizon;

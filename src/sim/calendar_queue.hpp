@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -13,40 +14,56 @@ namespace hawkeye::sim {
 
 /// Hierarchical bucket calendar for simulator events, replacing the seed's
 /// global `std::priority_queue`. Events land in fixed-width time buckets
-/// (a classic timing wheel) so the steady-state cost per event is a
-/// push_back + one batch-sorted key instead of an O(log n) sift through a
-/// calendar holding the entire pending set.
+/// (a classic timing wheel); draining a bucket is a linear pass that
+/// threads its events onto per-nanosecond FIFO lanes, so the steady-state
+/// cost per event is a push_back plus two link writes — no heap sift, no
+/// sort.
 ///
 /// Structure (near → far):
-///  - the *drain tier* — the events of the bucket currently being drained.
-///    Events sit still in an arena (`cur_slots_`, one 64-byte cache line
-///    each); 24-byte (time, seq, slot) keys do all the ordering. When the
-///    frontier advances to a bucket, its keys are sorted ONCE
-///    (`drain_keys_`) and popped by bumping `drain_idx_` — no per-pop
-///    sifting. Only events scheduled into the already-active bucket while
-///    it drains (rare: zero-delay and sub-bucket-width self-reschedules) go
-///    through a small binary heap (`late_keys_`); the head is whichever
-///    lane's key is earlier. All pending events with a bucket index
-///    <= `base_bucket_` live in this tier.
-///  - `wheel_`     — kBucketCount vectors of unordered events covering the
-///    next kBucketCount * kBucketWidthNs nanoseconds after `base_bucket_`.
-///    A 1-bit-per-bucket occupancy bitmap makes skipping empty buckets a
-///    countr_zero scan instead of a pointer chase. An empty wheel slot holds
-///    no capacity: a drained bucket's vector goes to the `spare_` stack and
-///    the next push into an empty slot takes it back, so retained capacity
-///    tracks the peak number of occupied buckets, not kBucketCount.
+///  - the *drain tier* — the events of the bucket currently being drained
+///    (`base_bucket_`). Events sit still in an arena (`cur_slots_`, one
+///    64-byte cache line each). Each of the bucket's 64 nanoseconds has a
+///    lane: an intrusive singly linked FIFO threaded through the arena by
+///    `next_` (4 bytes per event) with `lane_head_`/`lane_tail_` indices.
+///    A 64-bit occupancy mask (`lanes_`) finds the earliest non-empty lane
+///    with one countr_zero; a pop unlinks that lane's head.
+///  - `wheel_`     — kBucketCount vectors of events, in push order,
+///    covering the next kBucketCount * kBucketWidthNs nanoseconds after
+///    `base_bucket_`. A 1-bit-per-bucket occupancy bitmap makes skipping
+///    empty buckets a countr_zero scan instead of a pointer chase. An empty
+///    wheel slot holds no capacity: a drained bucket's vector goes to the
+///    `spare_` stack and the next push into an empty slot takes it back, so
+///    retained capacity tracks the peak number of occupied buckets, not
+///    kBucketCount.
 ///  - `far_`       — unordered overflow for events beyond the wheel horizon
 ///    (retransmit timeouts, far-future flow starts). Migrated into the
 ///    wheel when the drain frontier approaches them.
 ///
-/// Determinism: pop order is *exactly* ascending (time, insertion seq) —
-/// the same total order the seed heap used — because draining a bucket
-/// first partitions out precisely the events of that absolute bucket and
-/// then key-orders them by (time, seq); late same-bucket arrivals always
-/// carry a (time, seq) no earlier than the last pop (simulation time and
-/// seq are monotonic), so the two-lane merge preserves the total order.
+/// Determinism: pop order is *exactly* ascending (time, seq) — the same
+/// total order the seed heap used. A lane holds the events of exactly one
+/// nanosecond, so only seq orders it, and the simulator issues seqs in
+/// push order: the bucket's vector keeps push order, threading it onto the
+/// lanes is a stable counting sort, and a push into the active bucket
+/// appends behind events whose seqs are all smaller. Two sources break
+/// push order, and both stay exact:
+///  - *out-of-order seqs.* A sharded barrier flush pushes the deferred
+///    schedules of each source shard in turn, so seqs interleave; and an
+///    event migrated from `far_` joins its bucket after wheel events pushed
+///    later. Every append compares its seq with the lane's tail; a smaller
+///    seq marks the lane unsorted (`unsorted_`), and prepare_head() sorts
+///    each marked lane once before the head is read — O(m log m) per lane,
+///    never an insertion walk.
+///  - *pushes behind the frontier.* prepare_head() may advance the
+///    frontier past the clock (the sharded round's minimum scan, or a
+///    run_until that stops before the next bucket); a later push can then
+///    land in a bucket before `base_bucket_`. Such events go to a small
+///    binary heap of arena indices (`behind_`), ordered by (time, seq).
+///    They precede every lane event, so the heap drains first.
 /// Buckets only group events; they never reorder them. The evaluation
 /// harness depends on this for bit-identical precision/recall numbers.
+///
+/// A push invalidates head(): call prepare_head() again before head() or
+/// pop_head() (it sorts any lane the push left unsorted).
 class EventCalendar {
  public:
   /// One scheduled event — exactly one 64-byte cache line (8-byte time +
@@ -64,6 +81,7 @@ class EventCalendar {
                                                << kBucketCountLog2;
   static constexpr std::int64_t kBucketMask = kBucketCount - 1;
   static constexpr Time kBucketWidthNs = Time{1} << kBucketWidthShift;
+  static_assert(kBucketWidthNs == 64, "one lanes_ bit per nanosecond");
 
   EventCalendar() : wheel_(static_cast<std::size_t>(kBucketCount)) {}
   EventCalendar(const EventCalendar&) = delete;
@@ -74,17 +92,19 @@ class EventCalendar {
 
   void push(Time at, std::uint64_t seq, InlineAction fn) {
     const std::int64_t b = bucket_of(at);
-    if (b <= base_bucket_) {
-      late_keys_.push_back(
-          Key{at, seq, static_cast<std::uint32_t>(cur_slots_.size())});
-      cur_slots_.push_back(Event{at, seq, std::move(fn)});
-      std::push_heap(late_keys_.begin(), late_keys_.end(), key_later);
-    } else if (b < base_bucket_ + kBucketCount) {
-      wheel_slot(b).push_back(Event{at, seq, std::move(fn)});
-      ++wheel_count_;
+    if (b > base_bucket_) {
+      if (b < base_bucket_ + kBucketCount) {
+        wheel_slot(b).push_back(Event{at, seq, std::move(fn)});
+        ++wheel_count_;
+      } else {
+        if (far_.empty() || b < far_min_bucket_) far_min_bucket_ = b;
+        far_.push_back(Event{at, seq, std::move(fn)});
+      }
+    } else if (b == base_bucket_) {
+      link(arena_push(Event{at, seq, std::move(fn)}));
     } else {
-      if (far_.empty() || b < far_min_bucket_) far_min_bucket_ = b;
-      far_.push_back(Event{at, seq, std::move(fn)});
+      behind_.push_back(arena_push(Event{at, seq, std::move(fn)}));
+      std::push_heap(behind_.begin(), behind_.end(), Later{cur_slots_});
     }
     ++size_;
   }
@@ -92,11 +112,10 @@ class EventCalendar {
   /// Advance the drain frontier (without executing anything) until the
   /// earliest pending event sits at the head. Returns false when drained.
   bool prepare_head() {
-    while (drain_idx_ == drain_keys_.size() && late_keys_.empty()) {
+    while (lanes_ == 0 && behind_.empty()) {
       if (size_ == 0) return false;
-      drain_keys_.clear();
-      drain_idx_ = 0;
       cur_slots_.clear();
+      next_.clear();
       const std::int64_t wheel_next = next_wheel_bucket();
       const bool have_far = !far_.empty();
       // Jump to the earlier of (next occupied wheel bucket, earliest far
@@ -111,31 +130,39 @@ class EventCalendar {
       base_bucket_ = target;
       if (wheel_next == target) take_bucket(target);
       if (have_far && far_min_bucket_ <= target) migrate_far();
-      std::sort(drain_keys_.begin(), drain_keys_.end(), key_earlier);
     }
+    if (unsorted_ != 0) sort_lanes();
     return true;
   }
 
   /// Earliest pending event; only valid after prepare_head() returned true.
-  const Event& head() const { return cur_slots_[peek_slot()]; }
+  const Event& head() const {
+    return cur_slots_[behind_.empty() ? lane_head_[std::countr_zero(lanes_)]
+                                      : behind_.front()];
+  }
 
   /// Remove and return the earliest pending event (prepare_head() first).
   Event pop_head() {
     std::uint32_t slot;
-    if (late_head_wins()) {
-      std::pop_heap(late_keys_.begin(), late_keys_.end(), key_later);
-      slot = late_keys_.back().slot;
-      late_keys_.pop_back();
+    if (behind_.empty()) {
+      const int l = std::countr_zero(lanes_);
+      slot = lane_head_[l];
+      if (slot == lane_tail_[l]) {
+        lanes_ &= lanes_ - 1;  // lane l was the lowest set bit
+      } else {
+        lane_head_[l] = next_[slot];
+      }
     } else {
-      slot = drain_keys_[drain_idx_++].slot;
+      std::pop_heap(behind_.begin(), behind_.end(), Later{cur_slots_});
+      slot = behind_.back();
+      behind_.pop_back();
     }
     Event ev = std::move(cur_slots_[slot]);
     // Reclaim the arena (all remaining slots are moved-from husks) so a
     // push/pop ping-pong within one bucket can't grow it unboundedly.
-    if (drain_idx_ == drain_keys_.size() && late_keys_.empty()) {
-      drain_keys_.clear();
-      drain_idx_ = 0;
+    if (lanes_ == 0 && behind_.empty()) {
       cur_slots_.clear();
+      next_.clear();
     }
     --size_;
     return ev;
@@ -152,37 +179,19 @@ class EventCalendar {
   }
 
  private:
-  /// Drain-tier entry: the (time, seq) sort key plus the event's arena
-  /// index. Trivially copyable by design — ordering shuffles these 24-byte
-  /// PODs, never the cache-line events.
-  struct Key {
-    Time at;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  /// Ascending (time, seq) — the batch-sort order of `drain_keys_`.
-  static bool key_earlier(const Key& a, const Key& b) {
-    return a.at != b.at ? a.at < b.at : a.seq < b.seq;
-  }
-  /// Min-heap comparator for `late_keys_`: `a` fires after `b`.
-  static bool key_later(const Key& a, const Key& b) {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  }
-
-  /// True when the late-arrival heap holds the earliest pending key.
-  bool late_head_wins() const {
-    return !late_keys_.empty() &&
-           (drain_idx_ == drain_keys_.size() ||
-            key_later(drain_keys_[drain_idx_], late_keys_.front()));
-  }
-  std::uint32_t peek_slot() const {
-    return late_head_wins() ? late_keys_.front().slot
-                            : drain_keys_[drain_idx_].slot;
-  }
-
   static constexpr std::int64_t bucket_of(Time at) {
     return at >> kBucketWidthShift;
   }
+
+  /// Min-heap comparator for `behind_`: arena slot `a` fires after `b`.
+  struct Later {
+    const std::vector<Event>& arena;
+    bool operator()(std::uint32_t a, std::uint32_t b) const {
+      const Event& x = arena[a];
+      const Event& y = arena[b];
+      return x.at != y.at ? x.at > y.at : x.seq > y.seq;
+    }
+  };
 
   void mark_occupied(std::int64_t b) {
     const auto m = static_cast<std::uint64_t>(b & kBucketMask);
@@ -213,12 +222,51 @@ class EventCalendar {
     spare_.back().swap(vec);
   }
 
-  /// Append an event to the drain arena with its key (unsorted —
-  /// prepare_head() sorts the batch once after a frontier advance).
-  void stage(Event&& ev) {
-    drain_keys_.push_back(
-        Key{ev.at, ev.seq, static_cast<std::uint32_t>(cur_slots_.size())});
+  /// Append arena slot `slot` (an event of the active bucket) to the tail
+  /// of its nanosecond's lane. A seq below the tail's marks the lane for
+  /// prepare_head()'s sort.
+  void link(std::uint32_t slot) {
+    const Event& ev = cur_slots_[slot];
+    const auto l = static_cast<unsigned>(ev.at & (kBucketWidthNs - 1));
+    const std::uint64_t bit = std::uint64_t{1} << l;
+    if ((lanes_ & bit) != 0) {
+      const std::uint32_t tail = lane_tail_[l];
+      if (ev.seq < cur_slots_[tail].seq) unsorted_ |= bit;
+      next_[tail] = slot;
+    } else {
+      lane_head_[l] = slot;
+      lanes_ |= bit;
+    }
+    lane_tail_[l] = slot;
+  }
+
+  /// Append an event to the drain arena (next_ stays indexed like it) and
+  /// return its slot.
+  std::uint32_t arena_push(Event&& ev) {
     cur_slots_.push_back(std::move(ev));
+    next_.push_back(0);
+    return static_cast<std::uint32_t>(cur_slots_.size() - 1);
+  }
+
+  /// Put each lane marked by an out-of-order append back in seq order.
+  void sort_lanes() {
+    const auto seq_less = [this](std::uint32_t a, std::uint32_t b) {
+      return cur_slots_[a].seq < cur_slots_[b].seq;
+    };
+    for (; unsorted_ != 0; unsorted_ &= unsorted_ - 1) {
+      const int l = std::countr_zero(unsorted_);
+      lane_buf_.clear();
+      for (std::uint32_t s = lane_head_[l];; s = next_[s]) {
+        lane_buf_.push_back(s);
+        if (s == lane_tail_[l]) break;
+      }
+      std::sort(lane_buf_.begin(), lane_buf_.end(), seq_less);
+      for (std::size_t i = 1; i < lane_buf_.size(); ++i) {
+        next_[lane_buf_[i - 1]] = lane_buf_[i];
+      }
+      lane_head_[l] = lane_buf_.front();
+      lane_tail_[l] = lane_buf_.back();
+    }
   }
 
   /// Absolute bucket of the next non-empty wheel slot after base_bucket_,
@@ -244,61 +292,41 @@ class EventCalendar {
     return -1;
   }
 
-  /// Move the events of absolute bucket `b` into the drain tier; events of
-  /// the same masked slot but a later wheel revolution stay behind. In the
-  /// overwhelmingly common single-revolution case the bucket vector is
-  /// *swapped in* as the drain arena — zero per-event moves — and the
-  /// arena's old vector goes to the spare stack, not back into the slot.
+  /// Make absolute bucket `b` the drain arena and thread its events onto
+  /// the lanes in push order. The bucket vector is *swapped in* — zero
+  /// per-event moves — and the arena's old vector goes to the spare stack,
+  /// not back into the slot. The same pass returns any event of a later
+  /// wheel revolution that shares the slot to the wheel; its moved-from
+  /// husk stays unlinked in the arena.
   void take_bucket(std::int64_t b) {
     auto& vec = wheel_[static_cast<std::size_t>(b & kBucketMask)];
-    bool stale = false;
-    for (const Event& ev : vec) {
-      if (bucket_of(ev.at) != b) {
-        stale = true;
-        break;
-      }
-    }
-    if (!stale) {
-      wheel_count_ -= vec.size();
-      if (cur_slots_.empty()) {
-        cur_slots_.swap(vec);
-      } else {  // arena pre-seeded by a same-bucket far migration
-        for (Event& ev : vec) cur_slots_.push_back(std::move(ev));
-        vec.clear();
-      }
-      recycle(vec);
-      drain_keys_.reserve(cur_slots_.size());
-      for (std::uint32_t i = 0; i < cur_slots_.size(); ++i) {
-        drain_keys_.push_back(Key{cur_slots_[i].at, cur_slots_[i].seq, i});
-      }
-      clear_occupied(b);
-      return;
-    }
-    std::size_t kept = 0;
-    for (Event& ev : vec) {
+    assert(cur_slots_.empty() && "prepare_head() empties the arena first");
+    wheel_count_ -= vec.size();
+    clear_occupied(b);
+    cur_slots_.swap(vec);
+    recycle(vec);
+    next_.resize(cur_slots_.size());
+    for (std::uint32_t i = 0; i < cur_slots_.size(); ++i) {
+      Event& ev = cur_slots_[i];
       if (bucket_of(ev.at) == b) {
-        stage(std::move(ev));
-        --wheel_count_;
+        link(i);
       } else {
-        vec[kept++] = std::move(ev);
+        wheel_slot(bucket_of(ev.at)).push_back(std::move(ev));
+        ++wheel_count_;
       }
-    }
-    vec.resize(kept);
-    if (vec.empty()) {
-      clear_occupied(b);
-      recycle(vec);
     }
   }
 
   /// Pull far-future events that now fall inside the wheel horizon (or the
-  /// active bucket) after base_bucket_ moved.
+  /// active bucket) after base_bucket_ moved. The frontier only jumps to
+  /// the earliest far bucket or before it, so none lands behind it.
   void migrate_far() {
     std::size_t kept = 0;
     std::int64_t new_min = -1;
     for (Event& ev : far_) {
       const std::int64_t b = bucket_of(ev.at);
-      if (b <= base_bucket_) {
-        stage(std::move(ev));
+      if (b == base_bucket_) {
+        link(arena_push(std::move(ev)));
       } else if (b < base_bucket_ + kBucketCount) {
         wheel_slot(b).push_back(std::move(ev));
         ++wheel_count_;
@@ -315,11 +343,15 @@ class EventCalendar {
   std::vector<std::vector<Event>> spare_;  // drained buckets' vectors
   std::array<std::uint64_t, static_cast<std::size_t>(kBucketCount / 64)>
       occupied_{};
-  std::vector<Key> drain_keys_;  // sorted batch of the active bucket's keys
-  std::size_t drain_idx_ = 0;    // next unpopped index into drain_keys_
-  std::vector<Key> late_keys_;   // min-heap: pushes into the active bucket
-  std::vector<Event> cur_slots_; // drain arena: buckets <= base_bucket_
-  std::vector<Event> far_;       // events beyond the wheel horizon
+  std::vector<Event> cur_slots_;        // drain arena: lanes and behind_
+  std::vector<std::uint32_t> next_;     // lane links, indexed like the arena
+  std::array<std::uint32_t, 64> lane_head_{};  // valid where lanes_ is set
+  std::array<std::uint32_t, 64> lane_tail_{};
+  std::uint64_t lanes_ = 0;     // bit l: lane l (ns base + l) is non-empty
+  std::uint64_t unsorted_ = 0;  // lanes with an out-of-order append
+  std::vector<std::uint32_t> lane_buf_;  // sort_lanes() scratch
+  std::vector<std::uint32_t> behind_;    // min-heap: pushes behind frontier
+  std::vector<Event> far_;               // events beyond the wheel horizon
   std::int64_t base_bucket_ = 0;
   std::int64_t far_min_bucket_ = -1;
   std::size_t wheel_count_ = 0;  // events currently in wheel_ buckets

@@ -63,11 +63,12 @@ void scale_fault_plan(fault::FaultPlan& plan, double rate_s, double win_s) {
 }  // namespace
 
 std::string ScenarioOverlay::validate() const {
-  if (size_scale <= 0) return "overlay: non-positive size_scale";
-  if (rate_scale <= 0) return "overlay: non-positive rate_scale";
+  // Written as !(in range) so that NaN fails each rule.
+  if (!(size_scale > 0)) return "overlay: non-positive size_scale";
+  if (!(rate_scale > 0)) return "overlay: non-positive rate_scale";
   if (arrival_stride_ns < 0) return "overlay: negative arrival_stride_ns";
-  if (fault_rate_scale < 0) return "overlay: negative fault_rate_scale";
-  if (fault_window_scale <= 0) {
+  if (!(fault_rate_scale >= 0)) return "overlay: negative fault_rate_scale";
+  if (!(fault_window_scale > 0)) {
     return "overlay: non-positive fault_window_scale";
   }
   return {};

@@ -9,13 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "eval/runner.hpp"
 #include "eval/testbed.hpp"
 #include "fault/fault.hpp"
 #include "net/packet.hpp"
 #include "net/topology.hpp"
+#include "workload/overlay.hpp"
 #include "workload/scenario.hpp"
 
 namespace hawkeye::collect {
@@ -477,6 +480,74 @@ TEST(FaultPlanTest, ValidateRejectsBadSpecs) {
                 .holddown_ns,
             0)
       << "hold-down defaults to frozen routing";
+}
+
+TEST(FaultPlanTest, ValidateRejectsNaN) {
+  // A plan built in code never passes eval::decode, so each range rule must
+  // reject NaN itself: every comparison with NaN is false.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto check = [](auto mutate, const std::string& want) {
+    fault::FaultPlan p;
+    mutate(p);
+    EXPECT_EQ(p.validate(), want);
+  };
+  check([&](fault::FaultPlan& p) {
+          p.rtt_jitter.prob = 0.5;
+          p.rtt_jitter.magnitude = nan;
+        },
+        "rtt jitter: parameters out of range");
+  check([&](fault::FaultPlan& p) { p.rtt_jitter.prob = nan; },
+        "rtt jitter: parameters out of range");
+  check([&](fault::FaultPlan& p) {
+          fault::PollFaultSpec s;
+          s.drop_prob = nan;
+          p.poll_faults.push_back(s);
+        },
+        "poll fault: probabilities out of range");
+  check([&](fault::FaultPlan& p) {
+          fault::LinkFlapSpec s;
+          s.jitter = nan;
+          p.link_flaps.push_back(s);
+        },
+        "link flap: jitter out of [0,1]");
+  check([&](fault::FaultPlan& p) {
+          fault::DegradedLinkSpec s;
+          s.ber = nan;
+          p.degraded_links.push_back(s);
+        },
+        "degraded link: ber out of [0,1]");
+  check([&](fault::FaultPlan& p) {
+          fault::LinkSpeedMismatchSpec s;
+          s.gbps = nan;
+          p.speed_mismatches.push_back(s);
+        },
+        "speed mismatch: non-positive gbps");
+  check([&](fault::FaultPlan& p) {
+          fault::HostPcieBottleneckSpec s;
+          s.drain_gbps = nan;
+          p.pcie_bottlenecks.push_back(s);
+        },
+        "pcie bottleneck: non-positive drain_gbps");
+  check([&](fault::FaultPlan& p) {
+          fault::OversubscribedDownlinkSpec s;
+          s.factor = nan;
+          p.oversub_downlinks.push_back(s);
+        },
+        "oversubscribed downlink: factor out of (0,1)");
+
+  workload::ScenarioOverlay o;
+  EXPECT_EQ(o.validate(), "");
+  o.size_scale = nan;
+  EXPECT_EQ(o.validate(), "overlay: non-positive size_scale");
+  o = {};
+  o.rate_scale = nan;
+  EXPECT_EQ(o.validate(), "overlay: non-positive rate_scale");
+  o = {};
+  o.fault_rate_scale = nan;
+  EXPECT_EQ(o.validate(), "overlay: negative fault_rate_scale");
+  o = {};
+  o.fault_window_scale = nan;
+  EXPECT_EQ(o.validate(), "overlay: non-positive fault_window_scale");
 }
 
 TEST(FaultPlanTest, ValidateRejectsOverlappingWindowsSameSite) {

@@ -261,6 +261,12 @@ TEST(ScenarioIoTest, ParseRejectsDrift) {
   // Malformed values.
   EXPECT_THROW(parse_case(good + "overlay.size_scale=abc\n"),
                std::invalid_argument);
+  // Non-finite doubles: every range rule would have to catch them itself.
+  for (const char* v : {"nan", "inf", "-inf", "NAN", "infinity"}) {
+    EXPECT_THROW(parse_case(good + "faults.rtt_jitter.magnitude=" + v + "\n"),
+                 std::invalid_argument)
+        << v;
+  }
   EXPECT_THROW(parse_case(good + "one_bit_meter=2\n"), std::invalid_argument);
   EXPECT_THROW(parse_case(good + "scenario=unheard-of\n"),
                std::invalid_argument);

@@ -377,6 +377,120 @@ TEST(CalendarTest, RetainedCapacityBoundedByOccupiedBuckets) {
   EXPECT_LT(bound, static_cast<std::size_t>(EventCalendar::kBucketCount));
 }
 
+TEST(CalendarTest, MatchesReferenceOrderUnderAdversarialPushes) {
+  // A seeded mix of every push the simulator can make, checked pop by pop
+  // against a (time, seq) set: bursts on one nanosecond (also the one being
+  // drained), 5 ns self-reschedules, descending seqs into the wheel and
+  // into the active bucket (a sharded barrier flush interleaves its source
+  // shards' seqs), pushes behind a frontier that prepare_head() advanced
+  // past the clock, and far-horizon events whose bucket later fills with
+  // wheel events. In-order seqs step by 1000, so a lower seq always fits
+  // between existing ones.
+  EventCalendar cal;
+  std::set<std::pair<Time, std::uint64_t>> ref;
+  std::set<std::uint64_t> used;
+  std::vector<Time> far_times;
+  Rng rng(18);
+  std::uint64_t next_seq = 1000;
+  Time now = 0;  // time of the last pop: no push lands before it
+  std::size_t popped = 0;
+  const auto push = [&](Time at, std::uint64_t seq) {
+    ASSERT_TRUE(used.insert(seq).second);
+    cal.push(at, seq, [] {});
+    ref.emplace(at, seq);
+  };
+  const auto fresh = [&] { return next_seq += 1000; };
+  const auto lower = [&] {  // an unused seq below recent ones
+    for (;;) {
+      const auto back = static_cast<std::uint64_t>(rng.uniform_int(1, 20'000));
+      const std::uint64_t seq = next_seq > back ? next_seq - back : 1;
+      if (used.count(seq) == 0) return seq;
+    }
+  };
+  const auto pop = [&] {
+    ASSERT_TRUE(cal.prepare_head());
+    ASSERT_EQ((std::pair{cal.head().at, cal.head().seq}), *ref.begin());
+    const EventCalendar::Event ev = cal.pop_head();
+    ASSERT_EQ((std::pair{ev.at, ev.seq}), *ref.begin());
+    ref.erase(ref.begin());
+    now = ev.at;
+    ++popped;
+  };
+  for (int i = 0; i < 200; ++i) push(rng.uniform_int(0, 4000), fresh());
+  for (int step = 0; step < 20'000; ++step) {
+    switch (rng.uniform_int(0, 6)) {
+      case 0: {  // burst on one nanosecond, often the one being drained
+        const Time at =
+            now + (rng.uniform_int(0, 1) == 0 ? 0 : rng.uniform_int(0, 300));
+        for (int n = rng.uniform_int(1, 40); n > 0; --n) push(at, fresh());
+        break;
+      }
+      case 1:  // 5 ns self-reschedule of the next event
+        if (!ref.empty()) {
+          pop();
+          push(now + 5, fresh());
+        }
+        break;
+      case 2: {  // descending seqs into a wheel bucket
+        const Time at = now + rng.uniform_int(64, 20'000);
+        const int n = rng.uniform_int(2, 30);
+        const std::uint64_t top =
+            next_seq + 1000 * static_cast<std::uint64_t>(n);
+        for (int j = 0; j < n; ++j) {
+          push(at + rng.uniform_int(0, 3), top - 1000 * j);
+        }
+        next_seq = top;
+        break;
+      }
+      case 3:  // lower seqs onto the nanosecond at the head (active bucket)
+        if (cal.prepare_head()) {
+          const Time at = std::max(now, cal.head().at);
+          for (int n = rng.uniform_int(1, 8); n > 0; --n) push(at, lower());
+        }
+        break;
+      case 4:  // behind the frontier: prepare_head() jumped past the clock
+        if (cal.prepare_head() &&
+            (cal.head().at >> EventCalendar::kBucketWidthShift) >
+                (now >> EventCalendar::kBucketWidthShift)) {
+          const Time gap = cal.head().at - now;
+          for (int n = rng.uniform_int(1, 4); n > 0; --n) {
+            push(now + rng.uniform_int(0, std::min<Time>(gap - 1, 1000)),
+                 n % 2 == 0 ? fresh() : lower());
+          }
+        }
+        break;
+      case 5: {  // far-horizon event; later, wheel events join its bucket
+        const Time far_at = now + ms(1) + rng.uniform_int(100'000, 900'000);
+        push(far_at, fresh());
+        far_times.push_back(far_at);
+        const auto it = std::find_if(far_times.begin(), far_times.end(),
+                                     [&](Time t) { return t - now < us(900); });
+        if (it != far_times.end()) {
+          const Time bucket_start = *it & ~(EventCalendar::kBucketWidthNs - 1);
+          for (int n = rng.uniform_int(1, 6); n > 0; --n) {
+            push(std::max(now, bucket_start + rng.uniform_int(0, 63)),
+                 n % 2 == 0 ? fresh() : lower());
+          }
+          far_times.erase(it);
+        }
+        break;
+      }
+      default:  // drain a few
+        for (int n = rng.uniform_int(1, 60); n > 0 && !ref.empty(); --n) pop();
+        break;
+    }
+    ASSERT_EQ(cal.size(), ref.size());
+    if (HasFatalFailure()) return;
+  }
+  while (!ref.empty()) {
+    pop();
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_FALSE(cal.prepare_head());
+  EXPECT_TRUE(cal.empty());
+  EXPECT_GT(popped, 100'000u);
+}
+
 TEST(TimeTest, SerializationMath) {
   // 1000 bytes at 100 Gbps = 80 ns.
   EXPECT_EQ(serialization_ns(1000, 100.0), 80);
